@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterator
@@ -25,7 +24,6 @@ from sympy import factorint
 from .errors import (
     CapacityExceeded,
     DivisionByZero,
-    FieldMismatch,
     InvalidInput,
     NotInSubgroup,
     NotPrimitive,
@@ -195,7 +193,7 @@ class Field:
 
     def _build_tables(self) -> None:
         n1 = self.order - 1
-        g = self._search_generator_bare()
+        g = self._find_generator()
         exp = [1] * n1
         acc = 1
         for i in range(1, n1):
@@ -203,26 +201,6 @@ class Field:
             exp[i] = acc
         log = {c: i for i, c in enumerate(exp)}
         self._exp, self._log, self._generator = exp, log, g
-
-    def _search_generator_bare(self) -> int:
-        # table-free generator search used once during table construction
-        n1 = self.order - 1
-        primes = list(factorint(n1))
-        for cand in range(self.p, self.order):
-            ok = True
-            for r in primes:
-                e, acc, base = n1 // r, 1, cand
-                while e:
-                    if e & 1:
-                        acc = self._polymul_code(acc, base)
-                    base = self._polymul_code(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
-        raise AssertionError("no generator found; modulus is not irreducible?")
 
     # -- untabled polynomial-basis arithmetic --------------------------------
 
@@ -260,63 +238,6 @@ class Field:
         s0 = poly_mod(fp, s0, self.modulus)
         padded = tuple(s0) + (0,) * (self.m - len(s0))
         return self.encode(tuple(fp.mul(c, x) for x in padded))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Thin wrapper pairing a code with its field, for API and test ergonomics."""
-
-    field: Field
-    code: int
-
-    def __post_init__(self) -> None:
-        self.field.check(self.code)
-
-    def _peer(self, other: "FieldElement") -> int:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        return other.code
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.code, self._peer(other)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub(self.code, self._peer(other)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.code, self._peer(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.code, self._peer(other)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-
-def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Single-entry arithmetic dispatch on wrapped elements."""
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return FieldElement(a.field, a.field.inv(a.code))
-    if b is None:
-        raise InvalidInput(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InvalidInput(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

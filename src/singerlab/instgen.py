@@ -19,18 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintViolation, InvalidInput
+from .errors import InvalidInput
 from .ffield import FieldCtx, discrete_log, field_ctx
 from .matfq import Matrix, kernel_basis, kron, random_invertible
 from .schur import (
     ModuleSpec,
-    MultiplicityFree,
-    Violations,
-    check_constraints,
-    check_multiplicity_free,
     dim,
     induced_matrix,
     parse_module_spec,
+    require_supported,
 )
 from .singer import make_singer
 
@@ -81,18 +78,9 @@ def gen_instance(
     plant_singer the first secret is a companion form of a primitive
     element, so the published group always contains a cyclically regular
     element; the remaining secrets are uniform invertible matrices."""
-    if spec.q != ctx.q or spec.d != ctx.d:
-        raise InvalidInput("module spec does not match the field tower")
     if n_generators < 1:
         raise InvalidInput("need at least one generator")
-    con = check_constraints(spec, ctx.p)
-    if isinstance(con, Violations):
-        raise ConstraintViolation("; ".join(con.issues))
-    mf = check_multiplicity_free(spec)
-    if not isinstance(mf, MultiplicityFree):
-        raise ConstraintViolation(
-            f"module is not multiplicity free: pattern {tuple(mf.pattern)} occurs {mf.count} times"
-        )
+    require_supported(spec, ctx)
     rng = random.Random(repr(("instance", ctx.p, ctx.f, ctx.d, spec.text(), seed)))
     secrets = []
     if plant_singer:

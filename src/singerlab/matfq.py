@@ -1,23 +1,85 @@
 """Dense exact linear algebra over the fields in ffield.
 
-Matrices hold integer element codes in an int64 numpy array. Prime fields
-get vectorized add/mul/matmul with an overflow guard; extension fields fall
-back to scalar loops over the field's code arithmetic. Everything here is
-deterministic: pivots are always the first nonzero entry in scan order.
+Matrices hold element codes (as in ffield) in an int64 numpy array. All
+bulk arithmetic runs on the base-p digit tensor of shape (m, rows, cols):
+sums are digitwise mod p, and a product is the batch of m^2 F_p products
+of digit planes, folded back to m digits by a fixed (m, m^2) matrix whose
+column i*m + j holds x^(i+j) mod the field's modulus. Prime fields are
+m = 1. When a sum of products could reach 2^63 the same code runs on
+Python-int object arrays. Elimination does one vectorized rank-1 update
+per pivot, and pivots are always the first nonzero entry in scan order,
+so every result is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix
 from .ffield import DensePoly, Field, FieldCtx, poly_trim, roots_in_extension
 
+# ---------------------------------------------------------------------------
+# the digit-tensor kernel
+# ---------------------------------------------------------------------------
 
-def _vec_ok(F: Field, inner: int) -> bool:
-    return F.m == 1 and inner * (F.p - 1) ** 2 < 2**62
+
+@lru_cache(maxsize=None)
+def _tables(F: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Digit weights p^i, and the reduction matrix: column i*m + j is x^(i+j)."""
+    p, m = F.p, F.m
+    powers = []
+    v = [1] + [0] * (m - 1)
+    for _ in range(2 * m - 1):
+        powers.append(v)
+        top = v[-1]
+        v = [(c - top * f) % p for c, f in zip([0] + v[:-1], F.modulus)]
+    red = np.array([powers[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
+    w = np.array([p**i for i in range(m)], dtype=np.int64)
+    w.flags.writeable = red.flags.writeable = False  # cached: shared by every caller
+    return w, red
+
+
+def _dtype(F: Field, inner: int = 1):
+    """int64 unless a sum of `inner` (or m^2) digit products could overflow."""
+    return object if max(inner, F.m * F.m) * (F.p - 1) ** 2 >= 2**63 else np.int64
+
+
+def _split(F: Field, a, dt) -> np.ndarray:
+    """Codes to digits, the digit axis first."""
+    a = np.asarray(a).astype(dt)
+    w = _tables(F)[0].astype(dt).reshape((-1,) + (1,) * a.ndim)
+    return a[None] // w % F.p
+
+
+def _join(F: Field, D: np.ndarray) -> np.ndarray:
+    """Digits back to int64 codes."""
+    return np.tensordot(_tables(F)[0], D, axes=1).astype(np.int64)
+
+
+def _fold(F: Field, P: np.ndarray) -> np.ndarray:
+    """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), to digits."""
+    flat = (P % F.p).reshape(F.m * F.m, -1)
+    return (_tables(F)[1] @ flat % F.p).reshape(P.shape[1:])
+
+
+def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Entrywise product of broadcastable digit tensors."""
+    return _fold(F, X[:, None] * Y[None])
+
+
+def _sub_outer(F: Field, D: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D - u * v in digits, u and v broadcasting to D (a rank-1 update)."""
+    return (D - _mul(F, u, v)) % F.p
+
+
+def _first_nonzero(col: np.ndarray) -> int | None:
+    """Index of the first nonzero element in a digit column (m, k)."""
+    nz = (col != 0).any(0).nonzero()[0]
+    return int(nz[0]) if len(nz) else None
 
 
 @dataclass
@@ -30,14 +92,17 @@ class Matrix:
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
         try:
-            arr = np.array(rows, dtype=np.int64)
+            arr = np.array(rows, dtype=object)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"matrix rows are not rectangular integers: {exc}") from exc
         if arr.ndim != 2:
             raise InvalidInput("matrix rows must form a rectangle")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.order):
-            raise InvalidInput("entry code out of range for the field")
-        return Matrix(field, arr)
+        for x in arr.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise InvalidInput(f"matrix entry {x!r} is not an integer")
+            if not 0 <= x < min(field.order, 2**63):
+                raise InvalidInput("entry code out of range for the field")
+        return Matrix(field, arr.astype(np.int64))
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
@@ -69,64 +134,40 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
 
+    def _digits(self, inner: int = 1) -> np.ndarray:
+        return _split(self.field, self.a, _dtype(self.field, inner))
+
+    def _from_digits(self, D: np.ndarray) -> "Matrix":
+        return Matrix(self.field, _join(self.field, D))
+
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         self._peer(other)
         if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} + {other.shape}")
-        F = self.field
-        if F.m == 1:
-            return Matrix(F, (self.a + other.a) % F.p)
-        out = np.empty_like(self.a)
-        for i in range(self.a.shape[0]):
-            for j in range(self.a.shape[1]):
-                out[i, j] = F.add(int(self.a[i, j]), int(other.a[i, j]))
-        return Matrix(F, out)
+            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+        return self._from_digits(op(self._digits(), other._digits()) % self.field.p)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, np.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._entrywise(other, np.subtract)
 
     def __neg__(self) -> "Matrix":
-        F = self.field
-        if F.m == 1:
-            return Matrix(F, (-self.a) % F.p)
-        out = np.empty_like(self.a)
-        for i in range(self.a.shape[0]):
-            for j in range(self.a.shape[1]):
-                out[i, j] = F.neg(int(self.a[i, j]))
-        return Matrix(F, out)
+        return self._from_digits(-self._digits() % self.field.p)
 
     def scale(self, c: int) -> "Matrix":
-        F = self.field
-        if F.m == 1:
-            return Matrix(F, (self.a * c) % F.p)
-        out = np.empty_like(self.a)
-        for i in range(self.a.shape[0]):
-            for j in range(self.a.shape[1]):
-                out[i, j] = F.mul(c, int(self.a[i, j]))
-        return Matrix(F, out)
+        X = self._digits()
+        return self._from_digits(_mul(self.field, _split(self.field, [[c]], X.dtype), X))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._peer(other)
-        r, k = self.shape
-        k2, c = other.shape
-        if k != k2:
+        k = self.shape[1]
+        if k != other.shape[0]:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        F = self.field
-        if _vec_ok(F, k):
-            return Matrix(F, (self.a @ other.a) % F.p)
-        out = np.zeros((r, c), dtype=np.int64)
-        for i in range(r):
-            arow = self.a[i]
-            for j in range(c):
-                acc = 0
-                for t in range(k):
-                    x = int(arow[t])
-                    if x:
-                        acc = F.add(acc, F.mul(x, int(other.a[t, j])))
-                out[i, j] = acc
-        return Matrix(F, out)
+        X, Y = self._digits(k), other._digits(k)
+        return self._from_digits(_fold(self.field, X[:, None] @ Y[None]))
 
     def pow(self, e: int) -> "Matrix":
         n, n2 = self.shape
@@ -148,74 +189,51 @@ class Matrix:
 
     def map_entries(self, fn) -> "Matrix":
         """Apply a code-to-code function entrywise (e.g. a Frobenius twist)."""
-        out = np.empty_like(self.a)
-        for i in range(self.a.shape[0]):
-            for j in range(self.a.shape[1]):
-                out[i, j] = fn(int(self.a[i, j]))
-        return Matrix(self.field, out)
+        out = [fn(int(x)) for x in self.a.flat]
+        return Matrix(self.field, np.array(out, dtype=np.int64).reshape(self.a.shape))
 
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         F = self.field
-        a = self.a.copy()
-        r, c = a.shape
+        D = self._digits()
+        r, c = self.shape
         pivots: list[int] = []
-        row = 0
         for col in range(c):
-            piv = None
-            for i in range(row, r):
-                if a[i, col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != row:
-                a[[row, piv]] = a[[piv, row]]
-            inv = F.inv(int(a[row, col]))
-            for j in range(col, c):
-                a[row, j] = F.mul(inv, int(a[row, j]))
-            for i in range(r):
-                if i != row and a[i, col]:
-                    t = int(a[i, col])
-                    for j in range(col, c):
-                        a[i, j] = F.sub(int(a[i, j]), F.mul(t, int(a[row, j])))
-            pivots.append(col)
-            row += 1
+            row = len(pivots)
             if row == r:
                 break
-        return Matrix(F, a), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+            piv = _first_nonzero(D[:, row:, col])
+            if piv is None:
+                continue
+            D[:, [row, row + piv]] = D[:, [row + piv, row]]
+            inv = _split(F, F.inv(int(_join(F, D[:, row, col]))), D.dtype)
+            D[:, row, col:] = _mul(F, inv[:, None], D[:, row, col:])
+            t = D[:, :, col].copy()
+            t[:, row] = 0
+            D[:, :, col:] = _sub_outer(F, D[:, :, col:], t[:, :, None], D[:, None, row, col:])
+            pivots.append(col)
+        return self._from_digits(D), pivots
 
     def det(self) -> int:
         n, n2 = self.shape
         if n != n2:
             raise ShapeMismatch("determinant needs a square matrix")
         F = self.field
-        a = self.a.copy()
+        D = self._digits()
         det = 1
         for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if a[i, col]:
-                    piv = i
-                    break
+            piv = _first_nonzero(D[:, col:, col])
             if piv is None:
                 return 0
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
+            if piv:
+                D[:, [col, col + piv]] = D[:, [col + piv, col]]
                 det = F.neg(det)
-            pval = int(a[col, col])
+            pval = int(_join(F, D[:, col, col]))
             det = F.mul(det, pval)
-            inv = F.inv(pval)
-            for i in range(col + 1, n):
-                if a[i, col]:
-                    t = F.mul(inv, int(a[i, col]))
-                    for j in range(col, n):
-                        a[i, j] = F.sub(int(a[i, j]), F.mul(t, int(a[col, j])))
+            t = _mul(F, D[:, col + 1 :, col], _split(F, F.inv(pval), D.dtype)[:, None])
+            D[:, col + 1 :, col:] = _sub_outer(F, D[:, col + 1 :, col:], t[:, :, None], D[:, None, col, col:])
         return det
 
     def inv(self) -> "Matrix":
@@ -223,7 +241,7 @@ class Matrix:
         if n != n2:
             raise ShapeMismatch("inverse needs a square matrix")
         F = self.field
-        aug = np.concatenate([self.a.copy(), np.eye(n, dtype=np.int64)], axis=1)
+        aug = np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1)
         red, pivots = Matrix(F, aug).rref()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
@@ -231,45 +249,38 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         n, n2 = self.shape
-        return n == n2 and self.rank() == n
-
-
-def mat_arith(A: Matrix, B: Matrix | None, op: str) -> Matrix:
-    """Single-entry dispatch mirroring field_arith, for matrices."""
-    if op == "neg":
-        return -A
-    if op == "inv":
-        return A.inv()
-    if op == "transpose":
-        return A.transpose()
-    if B is None:
-        raise InvalidInput(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return A + B
-    if op == "sub":
-        return A - B
-    if op == "mul":
-        return A @ B
-    raise InvalidInput(f"unknown op {op!r}")
+        return n == n2 and len(self.rref()[1]) == n
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, left factor major: entry ((i,k),(j,l)) = A[i,j] B[k,l]."""
     A._peer(B)
+    (ra, ca), (rb, cb) = A.shape, B.shape
+    D = _mul(A.field, A._digits()[:, :, None, :, None], B._digits()[:, None, :, None, :])
+    return Matrix(A.field, _join(A.field, D).reshape(ra * rb, ca * cb))
+
+
+def compound_matrix(A: Matrix, k: int) -> Matrix:
+    """The k-th compound: entry (R, C) is det A[R, C], for row and column
+    k-subsets in lexicographic order. Minors of size s come from those of
+    size s - 1 by Laplace expansion along the first row, for every subset
+    pair at once."""
     F = A.field
-    if F.m == 1 and (F.p - 1) ** 2 < 2**62:
-        return Matrix(F, np.kron(A.a, B.a) % F.p)
-    ra, ca = A.shape
-    rb, cb = B.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=np.int64)
-    for i in range(ra):
-        for j in range(ca):
-            x = int(A.a[i, j])
-            if x:
-                for k in range(rb):
-                    for l in range(cb):
-                        out[i * rb + k, j * cb + l] = F.mul(x, int(B.a[k, l]))
-    return Matrix(F, out)
+    r, c = A.shape
+    X = M = A._digits(k)  # M: the minors of the current size, 1 x 1 first
+    for s in range(2, k + 1):
+        rows, cols = list(combinations(range(r), s)), list(combinations(range(c), s))
+        prev_r = {S: i for i, S in enumerate(combinations(range(r), s - 1))}
+        prev_c = {S: i for i, S in enumerate(combinations(range(c), s - 1))}
+        first = np.array([R[0] for R in rows], dtype=np.intp)[:, None, None]
+        rest = np.array([prev_r[R[1:]] for R in rows], dtype=np.intp)[:, None, None]
+        at = np.array(cols, dtype=np.intp).reshape(1, -1, s)
+        drop = np.array([[prev_c[C[:j] + C[j + 1 :]] for j in range(s)] for C in cols], dtype=np.intp)
+        # term j: A[R[0], C[j]] * (-1)^j * minor(R[1:], C without C[j])
+        head, tail = X[:, first, at], M[:, rest, drop.reshape(1, -1, s)]
+        tail[..., 1::2] = -tail[..., 1::2] % F.p
+        M = _fold(F, (head[:, None] * tail[None]).sum(-1))
+    return Matrix(F, _join(F, M))
 
 
 def kernel_basis(A: Matrix) -> list[list[int]]:
@@ -278,19 +289,14 @@ def kernel_basis(A: Matrix) -> list[list[int]]:
     Vectors come out in free-column order with a 1 in their free position,
     so the result is deterministic and echelon-shaped.
     """
-    F = A.field
     red, pivots = A.rref()
-    r, c = A.shape
+    c = A.shape[1]
     pivot_set = set(pivots)
     free = [j for j in range(c) if j not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * c
-        v[fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = F.neg(int(red.a[row_idx, fc]))
-        basis.append(v)
-    return basis
+    basis = np.zeros((len(free), c), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red).a[: len(pivots), free].T
+    return basis.tolist()
 
 
 def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
@@ -300,9 +306,7 @@ def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
     if not monic or monic[-1] != 1:
         raise InvalidInput("companion matrix needs a monic polynomial")
     n = len(monic) - 1
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        a[i, i - 1] = 1
+    a = np.eye(n, k=-1, dtype=np.int64)
     for i in range(n):
         a[i, n - 1] = F.neg(monic[i])
     return Matrix(F, a)
@@ -314,30 +318,24 @@ def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
 
 
 def _hessenberg(A: Matrix) -> np.ndarray:
-    """Similarity-reduce to upper Hessenberg form (copy; original untouched)."""
+    """Similarity-reduce to upper Hessenberg form (copy; original untouched).
+    Step j is H -> L H L^-1, L = I - t e_{j+1}^T, t_i = h[i, j] / h[j+1, j] for i > j+1."""
     F = A.field
-    h = A.a.copy()
-    n = h.shape[0]
+    n = A.shape[0]
+    D = A._digits(n)
     for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if h[i, j]:
-                piv = i
-                break
+        piv = _first_nonzero(D[:, j + 1 :, j])
         if piv is None:
             continue
-        if piv != j + 1:
-            h[[j + 1, piv]] = h[[piv, j + 1]]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        inv = F.inv(int(h[j + 1, j]))
-        for i in range(j + 2, n):
-            if h[i, j]:
-                t = F.mul(int(h[i, j]), inv)
-                for k in range(n):
-                    h[i, k] = F.sub(int(h[i, k]), F.mul(t, int(h[j + 1, k])))
-                for k in range(n):
-                    h[k, j + 1] = F.add(int(h[k, j + 1]), F.mul(t, int(h[k, i])))
-    return h
+        swap = [j + 1, j + 1 + piv]
+        D[:, swap] = D[:, swap[::-1]]
+        D[:, :, swap] = D[:, :, swap[::-1]]
+        inv = _split(F, F.inv(int(_join(F, D[:, j + 1, j]))), D.dtype)
+        t = _mul(F, D[:, :, j], inv[:, None])
+        t[:, : j + 2] = 0
+        D = _sub_outer(F, D, t[:, :, None], D[:, None, j + 1])
+        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, D[:, None] @ t[None, :, :, None])[..., 0]) % F.p
+    return _join(F, D)
 
 
 def char_poly(A: Matrix) -> DensePoly:

@@ -33,29 +33,20 @@ import numpy as np
 from sympy import factorint
 
 from .digitmap import DigitVector, phi
-from .errors import (
-    ConstraintViolation,
-    InvalidInput,
-    SingularMatrix,
-    UnsupportedFactor,
-)
+from .errors import InvalidInput, SingularMatrix, UnsupportedFactor
 from .ffield import FieldCtx, discrete_log, element_order, poly_deriv, poly_gcd, roots_in_extension
-from .matfq import Matrix, char_poly, embed_matrix, kernel_basis
+from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis
 from .schur import (
     FactorSpec,
     ModuleSpec,
-    MultiplicityFree,
-    Violations,
     _counts,
-    _ext_matrix,
     _sym_matrix,
     aggregated_patterns,
-    check_constraints,
-    check_multiplicity_free,
     dim,
     factor_dim,
     factor_labels,
     induced_matrix,
+    require_supported,
 )
 
 # Caps that turn pathological inputs into clean failures instead of stalls:
@@ -172,12 +163,6 @@ class ElementSampler:
     def draw(self) -> Matrix:
         self._step()
         return self._acc.copy()
-
-
-def random_element(generators: list[Matrix], rng: random.Random, warmup: int = 20) -> Matrix:
-    """One-shot draw. For repeated sampling keep an ElementSampler instead,
-    so the warmup walk is paid once."""
-    return ElementSampler(generators, rng, warmup).draw()
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +520,7 @@ def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
             raise _Degenerate("wedge kernel dimension is not one")
         cols.append(ker[0])
     X = Matrix.from_rows(ext, cols).transpose()
-    minors = _ext_matrix(X, k, d)
+    minors = compound_matrix(X, k)
 
     def rho(C: tuple[int, ...]) -> int:
         c = idx[C]
@@ -727,16 +712,7 @@ def rewrite(
     t0 = time.perf_counter()
     cfg = cfg or RewriteConfig()
     stats = RewriteStats()
-    if spec.q != ctx.q or spec.d != ctx.d:
-        raise InvalidInput("module spec does not match the field tower")
-    con = check_constraints(spec, ctx.p)
-    if isinstance(con, Violations):
-        raise ConstraintViolation("; ".join(con.issues))
-    mf = check_multiplicity_free(spec)
-    if not isinstance(mf, MultiplicityFree):
-        raise ConstraintViolation(
-            f"module is not multiplicity free: pattern {tuple(mf.pattern)} occurs {mf.count} times"
-        )
+    require_supported(spec, ctx)
     _, factor = _factor_plan(spec)
     _check_supported(spec, factor)
     n = dim(spec)

@@ -28,8 +28,9 @@ from typing import Iterator
 import numpy as np
 
 from .digitmap import DigitVector, twisted_aggregate
-from .errors import InvalidInput, ShapeMismatch, UnsupportedFactor
-from .matfq import Matrix, kron
+from .errors import ConstraintViolation, InvalidInput, ShapeMismatch, UnsupportedFactor
+from .ffield import FieldCtx
+from .matfq import Matrix, compound_matrix, kron
 
 KINDS = ("nat", "sym", "ext")
 
@@ -245,6 +246,21 @@ def check_multiplicity_free(spec: ModuleSpec) -> MultiplicityFree | Repeated:
     return MultiplicityFree()
 
 
+def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:
+    """Raise unless spec lives on the tower ctx and meets the pipeline's
+    preconditions: the structural constraints and multiplicity freeness."""
+    if spec.q != ctx.q or spec.d != ctx.d:
+        raise InvalidInput("module spec does not match the field tower")
+    con = check_constraints(spec, ctx.p)
+    if isinstance(con, Violations):
+        raise ConstraintViolation("; ".join(con.issues))
+    mf = check_multiplicity_free(spec)
+    if not isinstance(mf, MultiplicityFree):
+        raise ConstraintViolation(
+            f"module is not multiplicity free: pattern {tuple(mf.pattern)} occurs {mf.count} times"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the matrix functor
 # ---------------------------------------------------------------------------
@@ -287,17 +303,6 @@ def _sym_matrix(A: Matrix, k: int, d: int) -> Matrix:
     return Matrix(F, out)
 
 
-def _ext_matrix(A: Matrix, k: int, d: int) -> Matrix:
-    F = A.field
-    subsets = list(itertools.combinations(range(d), k))
-    n = len(subsets)
-    out = np.zeros((n, n), dtype=np.int64)
-    for r, R in enumerate(subsets):
-        for c, C in enumerate(subsets):
-            out[r, c] = Matrix(F, A.a[np.ix_(R, C)].copy()).det()
-    return Matrix(F, out)
-
-
 def _twisted(M: Matrix, q: int, e: int) -> Matrix:
     if e == 0:
         return M
@@ -319,7 +324,7 @@ def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
         elif f.kind == "sym":
             B = _sym_matrix(A, f.k, d)
         else:
-            B = _ext_matrix(A, f.k, d)
+            B = compound_matrix(A, f.k)
         blocks.append(_twisted(B, spec.q, f.twist))
     out = Matrix.identity(A.field, 1)
     for B in blocks:

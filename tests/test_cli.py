@@ -1,9 +1,14 @@
 """Exit codes, output determinism, and file plumbing of the console tool."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import singerlab
 from singerlab.cli import main
 
 
@@ -186,3 +191,21 @@ def test_rewrite_json_report(instance_path, tmp_path, capsys):
     data = json.loads(out)
     assert data["verdict"] == "ok"
     assert data["stats"]["elements_sampled"] >= 1
+
+
+@pytest.mark.parametrize("entry", [2.5, 2**63], ids=["float", "overflow"])
+def test_non_integer_entry_exits_one_without_traceback(instance_path, entry):
+    data = json.loads(open(instance_path).read())
+    data["generators"][0][0][0] = entry
+    with open(instance_path, "w") as fh:
+        json.dump(data, fh)
+    env = dict(os.environ)
+    src = str(Path(singerlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "singerlab.cli", "rewrite", "--in", instance_path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -1,6 +1,8 @@
 """Dense exact matrices: arithmetic, characteristic polynomials, kernels."""
 
+import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from singerlab.matfq import (
     Matrix,
     char_poly,
     companion_matrix,
+    compound_matrix,
     eigenpairs_over_extension,
     embed_matrix,
     kernel_basis,
@@ -36,6 +39,11 @@ def test_from_rows_validates():
         Matrix.from_rows(F5, [[0, 1], [2]])
     with pytest.raises(InvalidInput):
         Matrix.from_rows(F5, [[0, 9]])
+    # no silent coercion: floats, numeric strings and bools are not codes
+    for bad in (1.5, 1.0, "3", True, None, -1, 2**63, 2**70):
+        with pytest.raises(InvalidInput):
+            Matrix.from_rows(F5, [[0, 1], [bad, 2]])
+    assert Matrix.from_rows(F5, [[0, 4]]).tolist() == [[0, 4]]
 
 
 def test_shape_mismatch():
@@ -164,3 +172,116 @@ def test_embed_matrix_entries():
     A = rand_matrix(ctx.base, 2, 41)
     E = embed_matrix(ctx, A)
     assert [[ctx.unembed(x) for x in row] for row in E.tolist()] == A.tolist()
+
+
+# -- extension fields against scalar Field arithmetic --------------------------
+
+
+def _leibniz_det(F, rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1 if inversions % 2 == 0 else F.neg(1)
+        for i in range(n):
+            term = F.mul(term, rows[i][perm[i]])
+        total = F.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("F", [Field(3, 4), Field(17, 4)], ids=["tabled_81", "untabled_83521"])
+def test_extension_ops_match_scalar_field_ops(F):
+    rng = random.Random(F.order)
+    A = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
+    B = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
+    MA, MB = Matrix.from_rows(F, A), Matrix.from_rows(F, B)
+    dot = lambda row, col: reduce(F.add, (F.mul(x, y) for x, y in zip(row, col)))
+    assert (MA @ MB).tolist() == [[dot(row, col) for col in zip(*B)] for row in A]
+    assert (MA + MB).tolist() == [[F.add(x, y) for x, y in zip(r, t)] for r, t in zip(A, B)]
+    assert (MA - MB).tolist() == [[F.sub(x, y) for x, y in zip(r, t)] for r, t in zip(A, B)]
+    assert (-MA).tolist() == [[F.neg(x) for x in r] for r in A]
+    assert MA.scale(B[0][0]).tolist() == [[F.mul(B[0][0], x) for x in r] for r in A]
+    assert kron(MA, MB).tolist() == [
+        [F.mul(A[i][j], B[k][l]) for j in range(3) for l in range(3)] for i in range(3) for k in range(3)
+    ]
+    assert MA.det() == _leibniz_det(F, A)
+    if MA.det():
+        assert MA @ MA.inv() == Matrix.identity(F, 3)
+
+
+def test_compound_matrix_lists_all_minors():
+    F = Field(3, 4)
+    rng = random.Random(9)
+    a = [[rng.randrange(F.order) for _ in range(5)] for _ in range(4)]
+    for k in range(1, 5):
+        want = [
+            [_leibniz_det(F, [[a[i][j] for j in C] for i in R]) for C in itertools.combinations(range(5), k)]
+            for R in itertools.combinations(range(4), k)
+        ]
+        assert compound_matrix(Matrix.from_rows(F, a), k).tolist() == want
+
+
+# -- large characteristic: the kernel's Python-int branch ------------------------
+
+P61 = 2**61 - 1
+F61 = Field(P61)
+
+
+def _ref_rref(rows, p):
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        if r == len(a):
+            break
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        s = pow(a[r][c], -1, p)
+        a[r] = [x * s % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _ref_det(rows, p):
+    a = [list(r) for r in rows]
+    det = 1
+    for c in range(len(a)):
+        k = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if k is None:
+            return 0
+        if k != c:
+            a[c], a[k] = a[k], a[c]
+            det = -det
+        det = det * a[c][c]
+        s = pow(a[c][c], -1, p)
+        for i in range(c + 1, len(a)):
+            f = a[i][c] * s % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
+
+
+def test_large_prime_field_matches_python_ints():
+    rng = random.Random(61)
+    n = 5
+    A = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
+    B = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
+    MA, MB = Matrix.from_rows(F61, A), Matrix.from_rows(F61, B)
+    prod = [[sum(x * y for x, y in zip(row, col)) % P61 for col in zip(*B)] for row in A]
+    assert (MA @ MB).tolist() == prod
+    assert MA.det() == _ref_det(A, P61)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    red, pivots = _ref_rref(aug, P61)
+    assert pivots == list(range(n))
+    assert MA.inv().tolist() == [row[n:] for row in red]
+    # a rank-deficient system: the last row is the sum of the first two
+    S = A[:3] + [[(x + y) % P61 for x, y in zip(A[0], A[1])]]
+    got, got_pivots = Matrix.from_rows(F61, S).rref()
+    want, want_pivots = _ref_rref(S, P61)
+    assert got.tolist() == want and got_pivots == want_pivots == [0, 1, 2]
+    assert Matrix.from_rows(F61, S[:4] + [S[3]]).det() == 0 == _ref_det(S[:4] + [S[3]], P61)
