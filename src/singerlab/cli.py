@@ -38,7 +38,7 @@ from .errors import (
 )
 from .ffield import field_ctx, is_primitive
 from .instgen import Consistent, gen_instance, load_instance, oracle_check, save_instance
-from .matfq import Matrix
+from .matfq import Matrix, read_int
 from .rewrite import (
     Failure,
     RewriteConfig,
@@ -268,20 +268,19 @@ def result_to_dict(res: RewriteResult, p: int, f: int) -> dict:
 
 def result_from_dict(data: dict) -> tuple[RewriteResult, int, int]:
     try:
-        p, f, d = int(data["p"]), int(data["f"]), int(data["d"])
+        p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
         ext = field_ctx(p, f, d).ext
         C = Matrix.from_rows(ext, data["C"])
         preimages = tuple(Matrix.from_rows(ext, rows) for rows in data["phi"])
-        labels = tuple((DigitVector(c), int(lam)) for c, lam in data["labels"])
-        scalars = tuple(int(x) for x in data["scalars"])
-        st = data.get("stats", {})
-        stats = RewriteStats(
-            elements_sampled=int(st.get("elements_sampled", 0)),
-            dlog_calls=int(st.get("dlog_calls", 0)),
-            retries=int(st.get("retries", 0)),
+        labels = tuple(
+            (DigitVector(read_int(x, "label digit") for x in c), read_int(lam, "label eigenvalue"))
+            for c, lam in data["labels"]
         )
-        res = RewriteResult(spec, int(data["omega"]), C, labels, preimages, scalars, stats)
+        scalars = tuple(read_int(x, "scalar") for x in data["scalars"])
+        st = data.get("stats", {})
+        stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in ("elements_sampled", "dlog_calls", "retries")})
+        res = RewriteResult(spec, read_int(data["omega"], "omega"), C, labels, preimages, scalars, stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed result data: {exc}") from exc
     return res, p, f

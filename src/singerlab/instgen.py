@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .ffield import FieldCtx, discrete_log, field_ctx
-from .matfq import Matrix, kernel_basis, kron, random_invertible
+from .matfq import Matrix, kernel_basis, kron, random_invertible, read_int
 from .schur import (
     ModuleSpec,
     dim,
@@ -199,17 +199,19 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
 
 def instance_from_dict(data: dict) -> PlantedInstance:
     try:
-        p, f, d = int(data["p"]), int(data["f"]), int(data["d"])
+        p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
         ctx = field_ctx(p, f, d)
         gens = tuple(Matrix.from_rows(ctx.base, rows) for rows in data["generators"])
+        if not gens:
+            raise InvalidInput("an instance needs at least one generator")
         oracle = None
         if "oracle" in data:
             o = data["oracle"]
             oracle = Oracle(
                 tuple(Matrix.from_rows(ctx.base, rows) for rows in o["A"]),
                 Matrix.from_rows(ctx.base, o["T"]),
-                int(o["seed"]),
+                read_int(o["seed"], "oracle seed"),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed instance data: {exc}") from exc

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 import numpy as np
 
-from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix
+from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
 from .ffield import DensePoly, Field, FieldCtx, poly_trim, roots_in_extension
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,13 @@ def _first_nonzero(col: np.ndarray) -> int | None:
     return int(nz[0]) if len(nz) else None
 
 
+def read_int(x, what: str = "value") -> int:
+    """x as an int, refusing bools, floats, strings and None: no coercion."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InvalidInput(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass
 class Matrix:
     """A matrix of element codes over a fixed field."""
@@ -98,9 +106,7 @@ class Matrix:
         if arr.ndim != 2:
             raise InvalidInput("matrix rows must form a rectangle")
         for x in arr.flat:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise InvalidInput(f"matrix entry {x!r} is not an integer")
-            if not 0 <= x < min(field.order, 2**63):
+            if not 0 <= read_int(x, "matrix entry") < min(field.order, 2**63):
                 raise InvalidInput("entry code out of range for the field")
         return Matrix(field, arr.astype(np.int64))
 
@@ -281,6 +287,55 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
         tail[..., 1::2] = -tail[..., 1::2] % F.p
         M = _fold(F, (head[:, None] * tail[None]).sum(-1))
     return Matrix(F, _join(F, M))
+
+
+def _multisets(n: int, s: int) -> list[tuple[int, ...]]:
+    """The s-multisets of range(n) as count vectors, in lexicographic order."""
+    return [tuple(S.count(i) for i in range(n)) for S in combinations_with_replacement(range(n), s)]
+
+
+def symmetric_power(A: Matrix, k: int) -> Matrix:
+    """The k-th symmetric power: entry (N, M) is mult(M)/mult(N) times the
+    coefficient Q[N, M] of x^N in prod_{j in M} sum_i A[i, j] x_i, for row and
+    column k-multisets in lexicographic order, mult being the multinomial
+    count of a multiset. Coefficients of size s come from those of size
+    s - 1 for every multiset pair at once:
+    Q_s[N, M] = sum_i A[i, M_last] * Q_{s-1}[N - e_i, M - M_last],
+    read from an appended zero row when i is not in N."""
+    F = A.field
+    if k >= F.p:
+        raise UnsupportedFactor(f"sym({k}) needs k < characteristic {F.p}")
+    r, c = A.shape
+    X = Q = A._digits(r)
+    for s in range(2, k + 1):
+        # rows as count vectors: N - e_i has a -1, so no index, when N_i = 0
+        prev = {N: j for j, N in enumerate(_multisets(r, s - 1))}
+        drop = [[prev.get(N[:i] + (N[i] - 1,) + N[i + 1 :], len(prev)) for N in _multisets(r, s)] for i in range(r)]
+        # columns as sorted tuples: M = M[:-1] + (M_last,)
+        prev_c = {M: j for j, M in enumerate(combinations_with_replacement(range(c), s - 1))}
+        last, rest = np.array([(M[-1], prev_c[M[:-1]]) for M in combinations_with_replacement(range(c), s)]).T
+        Qz = np.concatenate([Q, 0 * Q[:, :1]], axis=1)
+        Q = _fold(F, (X[:, None, :, None, last] * Qz[None, :, np.array(drop)[:, :, None], rest]).sum(2))
+    mult = {n: [factorial(k) // prod(map(factorial, N)) % F.p for N in _multisets(n, k)] for n in (r, c)}
+    ratio = np.array([[b * pow(a, -1, F.p) % F.p for b in mult[c]] for a in mult[r]], dtype=Q.dtype)
+    return Matrix(F, _join(F, Q * ratio % F.p))
+
+
+def word_products(gens: list[Matrix], words) -> list[Matrix]:
+    """The product of every word, a sequence of indices into gens, taken
+    left to right. All words advance one letter at a time on one digit
+    tensor with a batch axis; the empty word gives the identity."""
+    F, n, pad = gens[0].field, gens[0].shape[0], len(gens)
+    for g in gens:
+        gens[0]._peer(g)
+    G = _split(F, np.stack([g.a for g in gens] + [np.eye(n, dtype=np.int64)]), _dtype(F, n))
+    width = max([1, *map(len, words)])
+    W = np.array([[*w] + [pad] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
+    P = G[:, W[:, 0]]
+    for j in range(1, width):
+        on = W[:, j] != pad
+        P[:, on] = _fold(F, P[:, None, on] @ G[None, :, W[on, j]])
+    return [Matrix(F, a) for a in _join(F, P)]
 
 
 def kernel_basis(A: Matrix) -> list[list[int]]:

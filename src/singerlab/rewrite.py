@@ -35,12 +35,10 @@ from sympy import factorint
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, SingularMatrix, UnsupportedFactor
 from .ffield import FieldCtx, discrete_log, element_order, poly_deriv, poly_gcd, roots_in_extension
-from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis
+from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis, symmetric_power, word_products
 from .schur import (
     FactorSpec,
     ModuleSpec,
-    _counts,
-    _sym_matrix,
     aggregated_patterns,
     dim,
     factor_dim,
@@ -331,8 +329,8 @@ def _check_supported(spec: ModuleSpec, f: FactorSpec) -> None:
 
 
 def _sym_index(k: int, d: int) -> dict[DigitVector, int]:
-    f = FactorSpec("sym", k)
-    return {_counts(part, d): i for i, part in enumerate(factor_labels(f, d))}
+    parts = factor_labels(FactorSpec("sym", k), d)
+    return {DigitVector([part.count(i) for i in range(d)]): r for r, part in enumerate(parts)}
 
 
 def _bump(m: DigitVector, src: int, dst: int) -> DigitVector:
@@ -469,7 +467,7 @@ def _extract_sym(N: Matrix, k: int, d: int) -> Matrix:
         ]
         cols.append(col)
     X = Matrix.from_rows(ext, cols).transpose()
-    SX = _sym_matrix(X, k, d)
+    SX = symmetric_power(X, k)
 
     def rho(m: DigitVector) -> int:
         c = idx[m]
@@ -591,6 +589,11 @@ def _extract_diagonal(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _draw_words(rng: random.Random, letters: int, count: int, length_range: tuple[int, int]) -> list[list[int]]:
+    """Random words: per word a length from rng.randint, then its letters."""
+    return [[rng.randrange(letters) for _ in range(rng.randint(*length_range))] for _ in range(count)]
+
+
 def _proportional(L: Matrix, R: Matrix) -> int | None:
     """The scalar mu with L == mu * R, or None. Zero patterns must agree."""
     if L.shape != R.shape:
@@ -617,9 +620,16 @@ def verify_projective(
 ) -> Verified | Refuted:
     """Exact acceptance check: induced(spec, preimage) proportional to
     C @ public @ C^{-1} for every generator, then for sampled words, whose
-    products must stay proportional because both sides multiply."""
-    ext = ctx.ext
-    if C.field != ext:
+    products must stay proportional because both sides multiply.
+
+    All words are drawn before any is multiplied, and the model side of a
+    word is the product of the per-generator models C E_i C^{-1} (exact,
+    since C^{-1} C = I). Once every generator check holds with scalar mu_i,
+    a word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
+    so a word check fails only if induced_matrix is not multiplicative:
+    the one path on which drawing every word up front leaves rng in another
+    state than stopping at the failing word would."""
+    if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
     if len(publics) != len(preimages):
         return Refuted("generator and preimage counts differ")
@@ -628,23 +638,17 @@ def verify_projective(
     except SingularMatrix:
         return Refuted("frame is not invertible")
     epubs = [embed_matrix(ctx, g) for g in publics]
-    mus = []
+    mus, models = [], []
     for i, (E, A) in enumerate(zip(epubs, preimages)):
-        mu = _proportional(induced_matrix(spec, A), C @ E @ cinv)
+        models.append(C @ E @ cinv)
+        mu = _proportional(induced_matrix(spec, A), models[-1])
         if mu is None:
             return Refuted(f"generator {i} image is not proportional to its model")
         mus.append(mu)
-    rng = rng or random.Random(1)
-    lo, hi = length_range
-    n = dim(spec)
-    for t in range(words):
-        seq = [rng.randrange(len(epubs)) for _ in range(rng.randint(lo, hi))]
-        MW = Matrix.identity(ext, n)
-        AW = Matrix.identity(ext, ctx.d)
-        for i in seq:
-            MW = MW @ epubs[i]
-            AW = AW @ preimages[i]
-        if _proportional(induced_matrix(spec, AW), C @ MW @ cinv) is None:
+    seqs = _draw_words(rng or random.Random(1), len(epubs), words, length_range)
+    pairs = zip(word_products(preimages, seqs), word_products(models, seqs))
+    for t, (AW, MW) in enumerate(pairs):
+        if _proportional(induced_matrix(spec, AW), MW) is None:
             return Refuted(f"word check {t} failed")
     return Verified(tuple(mus))
 
@@ -662,10 +666,7 @@ def _frob_mat(ctx: FieldCtx, M: Matrix, e: int) -> Matrix:
 
 
 def _word_matrix(epubs: list[Matrix], rng: random.Random, length_range: tuple[int, int]) -> Matrix:
-    m = Matrix.identity(epubs[0].field, epubs[0].shape[0])
-    for _ in range(rng.randint(*length_range)):
-        m = m @ epubs[rng.randrange(len(epubs))]
-    return m
+    return word_products(epubs, _draw_words(rng, len(epubs), 1, length_range))[0]
 
 
 def _extract_with_fallback(

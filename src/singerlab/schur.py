@@ -22,15 +22,13 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
-import numpy as np
-
 from .digitmap import DigitVector, twisted_aggregate
-from .errors import ConstraintViolation, InvalidInput, ShapeMismatch, UnsupportedFactor
+from .errors import ConstraintViolation, InvalidInput, ShapeMismatch
 from .ffield import FieldCtx
-from .matfq import Matrix, compound_matrix, kron
+from .matfq import Matrix, compound_matrix, kron, symmetric_power
 
 KINDS = ("nat", "sym", "ext")
 
@@ -94,6 +92,8 @@ def parse_factor(token: str) -> FactorSpec:
 
 def parse_module_spec(text: str, q: int | None = None, d: int | None = None) -> ModuleSpec:
     """Parse 'd=3 q=7 factors=[sym(2)@0]' or a bare factor list with q, d given."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"module spec {text!r} is not text")
     text = text.strip()
     m = re.match(r"^d=(\d+)\s+q=(\d+)\s+factors=\[(.*)\]$", text)
     if m:
@@ -266,43 +266,6 @@ def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sym_matrix(A: Matrix, k: int, d: int) -> Matrix:
-    F = A.field
-    if k >= F.p:
-        raise UnsupportedFactor(f"sym({k}) needs k < characteristic {F.p}")
-    labels = list(itertools.combinations_with_replacement(range(d), k))
-    index = {_counts(lab, d): r for r, lab in enumerate(labels)}
-    mults = {}
-    for lab in labels:
-        c = _counts(lab, d)
-        m = factorial(k)
-        for cnt in c:
-            m //= factorial(cnt)
-        mults[c] = m % F.p
-    n = len(labels)
-    out = np.zeros((n, n), dtype=np.int64)
-    inv_mult = {c: F.inv(m) for c, m in mults.items()}
-    for col, M_lab in enumerate(labels):
-        # expand prod_{j in M} (sum_i A[i,j] x_i) over monomial exponent vectors
-        poly: dict[tuple[int, ...], int] = {(0,) * d: 1}
-        for j in M_lab:
-            nxt: dict[tuple[int, ...], int] = {}
-            for mono, coef in poly.items():
-                for i in range(d):
-                    a = int(A.a[i, j])
-                    if a:
-                        key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                        prev = nxt.get(key, 0)
-                        nxt[key] = F.add(prev, F.mul(coef, a))
-            poly = nxt
-        colmult = mults[_counts(M_lab, d)]
-        for mono, coef in poly.items():
-            c = DigitVector(mono)
-            row = index[c]
-            out[row, col] = F.mul(coef, F.mul(colmult, inv_mult[c]))
-    return Matrix(F, out)
-
-
 def _twisted(M: Matrix, q: int, e: int) -> Matrix:
     if e == 0:
         return M
@@ -322,7 +285,7 @@ def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
         if f.kind == "nat":
             B = A
         elif f.kind == "sym":
-            B = _sym_matrix(A, f.k, d)
+            B = symmetric_power(A, f.k)
         else:
             B = compound_matrix(A, f.k)
         blocks.append(_twisted(B, spec.q, f.twist))

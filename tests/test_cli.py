@@ -1,5 +1,7 @@
 """Exit codes, output determinism, and file plumbing of the console tool."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singerlab
 from singerlab.cli import main
@@ -209,3 +213,111 @@ def test_non_integer_entry_exits_one_without_traceback(instance_path, entry):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# -- strict integer fields in instance and result files -------------------------------
+
+
+def _rewrite_result(instance_path, tmp_path):
+    result = str(tmp_path / "res.json")
+    assert main(["rewrite", "--in", instance_path, "--seed", "1", "--out", result]) == 0
+    return result
+
+
+def _edit_d(inst, res):
+    inst["d"] = 3.9
+
+
+def _edit_oracle_seed(inst, res):
+    inst["oracle"]["seed"] = 2.5
+
+
+def _edit_scalars(inst, res):
+    res["scalars"] = [x + 0.5 for x in res["scalars"]]
+
+
+@pytest.mark.parametrize("edit", [_edit_d, _edit_oracle_seed, _edit_scalars], ids=["d", "seed", "scalars"])
+def test_verify_refuses_float_fields(instance_path, tmp_path, capsys, edit):
+    """int() used to truncate these, and verify then printed verified / consistent."""
+    result = _rewrite_result(instance_path, tmp_path)
+    inst, res = json.loads(open(instance_path).read()), json.loads(open(result).read())
+    edit(inst, res)
+    for path, data in ((instance_path, inst), (result, res)):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not an integer" in captured.err
+    assert "verified" not in captured.out
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaf_paths(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _leaf_paths(val, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    inst, result = str(root / "inst.json"), str(root / "res.json")
+    assert main(["gen-instance", "--spec", "d=3 q=7 factors=[sym(2)@0]", "--gens", "2", "--seed", "5",
+                 "--out", inst]) == 0
+    assert main(["rewrite", "--in", inst, "--seed", "1", "--out", result]) == 0
+    return root, json.loads(open(inst).read()), json.loads(open(result).read())
+
+
+NON_INTEGERS = st.one_of(st.floats(), st.text(max_size=10), st.booleans(), st.none())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), value=NON_INTEGERS, in_result=st.booleans())
+def test_fuzz_non_integer_leaf_exits_one(valid_files, data, value, in_result):
+    """Any leaf of a valid instance or result file replaced by a float,
+    string, bool or null gets exit 1 and an error line, never a traceback."""
+    root, inst, res = valid_files
+    target = res if in_result else inst
+    path = data.draw(st.sampled_from(sorted(_leaf_paths(target), key=repr)))
+    inst_path, res_path = str(root / "case.json"), str(root / "case.result.json")
+    with open(inst_path, "w") as fh:
+        json.dump(inst if in_result else _replaced(inst, path, value), fh)
+    with open(res_path, "w") as fh:
+        json.dump(_replaced(res, path, value) if in_result else res, fh)
+    commands = [["verify", "--in", inst_path, "--result", res_path]]
+    if not in_result:
+        commands.append(["rewrite", "--in", inst_path, "--out", str(root / "out.json")])
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 1, (argv[0], path, value)
+        assert err.getvalue().startswith("error: ")
+
+
+def test_instance_without_generators_exits_one(instance_path, tmp_path, capsys):
+    """With no generators and no preimages, verify used to reach the word
+    draw and end in a ValueError traceback (a word over no letters)."""
+    result = _rewrite_result(instance_path, tmp_path)
+    inst, res = json.loads(open(instance_path).read()), json.loads(open(result).read())
+    inst["generators"], res["phi"], res["scalars"] = [], [], []
+    for path, data in ((instance_path, inst), (result, res)):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import factorial
 from functools import reduce
 
 import pytest
@@ -20,6 +21,8 @@ from singerlab.matfq import (
     kernel_basis,
     kron,
     random_invertible,
+    symmetric_power,
+    word_products,
 )
 
 F5 = Field(5)
@@ -285,3 +288,70 @@ def test_large_prime_field_matches_python_ints():
     want, want_pivots = _ref_rref(S, P61)
     assert got.tolist() == want and got_pivots == want_pivots == [0, 1, 2]
     assert Matrix.from_rows(F61, S[:4] + [S[3]]).det() == 0 == _ref_det(S[:4] + [S[3]], P61)
+
+
+# -- symmetric powers and word products ------------------------------------------
+
+
+def _sym_reference(A, k):
+    """Sym^k by expanding prod_{j in M} (sum_i A[i,j] x_i) column by column
+    over monomial exponent vectors, one scalar field call per term, then
+    scaling entry (N, M) by mult(M) / mult(N)."""
+    F, d = A.field, A.shape[0]
+    labels = list(itertools.combinations_with_replacement(range(d), k))
+    counts = [tuple(lab.count(i) for i in range(d)) for lab in labels]
+    index = {c: r for r, c in enumerate(counts)}
+    mults = []
+    for c in counts:
+        m = factorial(k)
+        for cnt in c:
+            m //= factorial(cnt)
+        mults.append(m % F.p)
+    out = [[0] * len(labels) for _ in labels]
+    for col, M_lab in enumerate(labels):
+        poly = {(0,) * d: 1}
+        for j in M_lab:
+            nxt = {}
+            for mono, coef in poly.items():
+                for i in range(d):
+                    a = int(A.a[i, j])
+                    if a:
+                        key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                        nxt[key] = F.add(nxt.get(key, 0), F.mul(coef, a))
+            poly = nxt
+        for mono, coef in poly.items():
+            row = index[mono]
+            out[row][col] = F.mul(coef, F.mul(mults[col], F.inv(mults[row])))
+    return out
+
+
+F17_4 = field_ctx(17, 1, 4).ext  # untabled: above TABLE_LIMIT
+
+
+@pytest.mark.parametrize(
+    "F", [F7, field_ctx(7, 1, 3).ext, F17_4, Field(2**61 - 1)], ids=["F7", "F343", "F17^4", "F2^61-1"]
+)
+def test_symmetric_power_matches_dict_expansion(F):
+    rng = random.Random(F.order % 1000)
+    for d in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            A = rand_matrix(F, d, rng.random())
+            assert symmetric_power(A, k).tolist() == _sym_reference(A, k), (d, k)
+
+
+def test_symmetric_power_is_multiplicative():
+    for d, k in [(2, 4), (3, 2), (3, 3), (4, 2)]:
+        A, B = rand_matrix(F17_4, d, 2 * k), rand_matrix(F17_4, d, 2 * k + 1)
+        assert symmetric_power(A @ B, k) == symmetric_power(A, k) @ symmetric_power(B, k)
+
+
+@pytest.mark.parametrize("F", [F7, F17_4, F61], ids=["F7", "F17^4", "F2^61-1"])
+def test_word_products_match_sequential_chains(F):
+    gens = [rand_matrix(F, 4, seed) for seed in range(3)]
+    words = [[2], [0, 1, 2, 0, 0, 1], [1, 1], [], [2, 0, 1, 1, 0, 2, 2, 1, 0]]
+    for w, got in zip(words, word_products(gens, words), strict=True):
+        want = reduce(lambda m, i: m @ gens[i], w, Matrix.identity(F, 4))
+        assert got == want
+    one = [[0], [0, 0, 0]]
+    assert word_products(gens[:1], one) == [gens[0], gens[0] @ gens[0] @ gens[0]]
+    assert word_products(gens, []) == []

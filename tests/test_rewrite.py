@@ -1,5 +1,6 @@
 """The rewriting pipeline: sampling, labeling, calibration, verification."""
 
+import importlib
 import random
 
 import pytest
@@ -188,6 +189,30 @@ def test_verify_accepts_planted_and_rejects_tampered():
     rows[0][1] = (rows[0][1] + 1) % CTX73.ext.order
     bad[0] = Matrix.from_rows(CTX73.ext, rows)
     assert isinstance(verify_projective(spec, CTX73, publics, epubs_frame.inv(), bad), Refuted)
+
+
+def test_verify_word_check_catches_a_non_multiplicative_functor(monkeypatch):
+    """The generator checks alone imply every word check only for a
+    multiplicative functor; a functor right on the generators and wrong on
+    their products must still be refuted by the word check."""
+    rw = importlib.import_module("singerlab.rewrite")  # the package exports a function of that name
+
+    spec = spec_of("sym(2)")
+    publics, T, gens = planted(CTX73, spec, seed=9)
+    frame = embed_matrix(CTX73, T).inv()
+    pre = [embed_matrix(CTX73, g) for g in gens]
+
+    def broken(spec_, A):
+        out = induced_matrix(spec_, A)
+        if any(A == g for g in pre):
+            return out
+        out.a[0, 0] = (out.a[0, 0] + 1) % CTX73.ext.order
+        return out
+
+    assert isinstance(verify_projective(spec, CTX73, publics, frame, pre), Verified)
+    monkeypatch.setattr(rw, "induced_matrix", broken)
+    v = verify_projective(spec, CTX73, publics, frame, pre)
+    assert isinstance(v, Refuted) and v.detail == "word check 0 failed"
 
 
 def test_verify_rejects_count_mismatch():

@@ -191,7 +191,7 @@ def test_exterior_square_of_diagonal():
 
 def test_sym_needs_small_characteristic():
     A = Matrix.identity(Field(3), 3)
-    with pytest.raises(UnsupportedFactor):
+    with pytest.raises(UnsupportedFactor, match=r"sym\(3\) needs k < characteristic 3"):
         induced_matrix(ModuleSpec(3, 3, (FactorSpec("sym", 3),)), A)
 
 
