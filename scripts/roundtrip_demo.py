@@ -11,8 +11,6 @@ the scalar twist coeff_j -> c^(d-j) coeff_j, and the demo exhibits the c.
 
 import argparse
 
-from sympy import factorint
-
 from singerlab import (
     RewriteConfig,
     char_poly,
@@ -23,6 +21,7 @@ from singerlab import (
     rewrite,
     verify_projective,
 )
+from singerlab.ffield import factorint
 from singerlab.rewrite import Failure, Verified
 
 

@@ -9,8 +9,6 @@ consumes blindly.
 
 import argparse
 
-from sympy import factorint
-
 from singerlab import (
     exponent_and_digits,
     field_ctx,
@@ -20,6 +18,7 @@ from singerlab import (
     verify_model_match,
     verify_simple_spectrum,
 )
+from singerlab.ffield import factorint
 from singerlab.singer import Match, Simple
 
 

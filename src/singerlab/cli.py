@@ -17,8 +17,6 @@ import json
 import os
 import sys
 
-from sympy import factorint
-
 from .digitmap import (
     Collision,
     DigitVector,
@@ -36,7 +34,7 @@ from .errors import (
     NotPrimitive,
     SingerlabError,
 )
-from .ffield import field_ctx, is_primitive
+from .ffield import factorint, field_ctx, is_primitive
 from .instgen import Consistent, gen_instance, load_instance, oracle_check, save_instance
 from .matfq import Matrix, read_int
 from .rewrite import (

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from typing import Iterator
 
-from sympy import factorint
+import numpy as np
 
 from .errors import (
     CapacityExceeded,
@@ -38,11 +40,109 @@ TABLE_LIMIT = 2**16
 DLOG_LIMIT = 2**48
 
 
+_SMALL_PRIMES = tuple(sorted(set(range(2, 10**4)).difference(*(range(r * r, 10**4, r) for r in range(2, 100)))))
+_PSI_13 = 3317044064679887385961981  # the first 13 prime bases are exact below it (Sorenson & Webster 2015)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    fac = factorint(n)
-    return len(fac) == 1 and fac[n] == 1
+    """Exact below 3.317e24: trial division below 10^4, then Miller-Rabin to the first
+    13 prime bases. At or above it, Baillie-PSW (strong base-2 Miller-Rabin plus a strong
+    Lucas test), as computer algebra systems use there; it has no known counterexample."""
+    for r in _SMALL_PRIMES:
+        if n % r == 0:
+            return n == r
+    if n < 10**8:
+        return n > 1
+    if n < _PSI_13:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:13])
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = [pow(a, (n - 1) >> s, n)]  # a^(d 2^r) for r < s
+    for _ in range(s - 1):
+        x.append(x[-1] * x[-1] % n)
+    return x[0] == 1 or n - 1 in x
+
+
+def _jacobi(a: int, n: int) -> int:
+    t = 1
+    while a := a % n:
+        while not a & 1:
+            a >>= 1
+            t = -t if n % 8 in (3, 5) else t
+        a, n = n, a
+        t = -t if a % 4 == n % 4 == 3 else t
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test, Selfridge's D (first of 5, -7, 9, ... with (D/n) = -1), P = 1, Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = next(x for x in ((-1) ** i * (5 + 2 * i) for i in count()) if _jacobi(x, n) == -1)
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k mod n, walking k from 1 up to d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    v = [V]  # V_(d 2^r) for r < s
+    for _ in range(s - 1):
+        v.append((v[-1] * v[-1] - 2 * Qk) % n)
+        Qk = Qk * Qk % n
+    return U == 0 or 0 in v
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of odd composite n: Pollard-Brent rho (Brent 1980), x -> x^2 + c for c = 1, 2, ..."""
+    for c in count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                if (g := gcd(acc, n)) != 1:
+                    break
+            r *= 2
+        if g == n:  # the last batch overshot: replay it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=None)
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} of n >= 1, primes ascending:
+    trial division below 10^4, then _is_prime and _rho_factor on the rest.
+    Memoized, so every caller gets the same dict and must not mutate it."""
+    if n < 1:
+        raise InvalidInput(f"cannot factor {n}")
+    out: Counter[int] = Counter()
+    for r in _SMALL_PRIMES:
+        if r * r > n:
+            break
+        while n % r == 0:
+            out[r] += 1
+            n //= r
+    if n > 1 and _is_prime(n):
+        out[n] += 1
+    elif n > 1:
+        g = _rho_factor(n)
+        out.update(factorint(g))
+        out.update(factorint(n // g))
+    return dict(sorted(out.items()))
 
 
 class Field:
@@ -66,6 +166,7 @@ class Field:
             self.modulus = find_irreducible(p, m)
         # low-first base-p digit weights, reused by encode/decode
         self._weights = tuple(p**i for i in range(m))
+        self._prime = Field(p) if m > 1 else None  # untabled inverses run over F_p
         self._exp: list[int] | None = None
         self._log: dict[int, int] | None = None
         self._generator: int | None = None
@@ -183,22 +284,22 @@ class Field:
         return self._generator
 
     def _find_generator(self) -> int:
-        n1 = self.order - 1
-        primes = list(factorint(n1))
-        start = 2 if self.m == 1 else self.p
-        for cand in range(start, self.order):
-            if all(self.pow(cand, n1 // r) != 1 for r in primes):
-                return cand
-        raise AssertionError("no generator found; field construction is broken")
+        # codes below p lie in F_p, and 1 generates only F_2^*
+        return next(c for c in range(1 if self.m == 1 else self.p, self.order) if is_primitive(self, c))
 
     def _build_tables(self) -> None:
-        n1 = self.order - 1
+        # Multiplying by g^k is F_p-linear on digit vectors (row j of its matrix
+        # is g^k x^j), so digits of g^k..g^(2k-1) = digits of g^0..g^(k-1) @ it.
+        p, m, n1 = self.p, self.m, self.order - 1
         g = self._find_generator()
-        exp = [1] * n1
-        acc = 1
-        for i in range(1, n1):
-            acc = self._polymul_code(acc, g)
-            exp[i] = acc
+        step = np.array([self.decode(self._polymul_code(g, w)) for w in self._weights], dtype=np.int64)
+        digits = np.zeros((n1, m), dtype=np.int64)
+        digits[0, 0] = 1
+        k = 1
+        while k < n1:
+            digits[k : 2 * k] = digits[: min(k, n1 - k)] @ step % p
+            step, k = step @ step % p, 2 * k
+        exp = (digits @ np.array(self._weights, dtype=np.int64)).tolist()
         log = {c: i for i, c in enumerate(exp)}
         self._exp, self._log, self._generator = exp, log, g
 
@@ -224,7 +325,7 @@ class Field:
         return self.encode(tuple(prod[:m]))
 
     def _poly_inv_code(self, a: int) -> int:
-        fp = Field(self.p)
+        fp = self._prime
         r0: DensePoly = self.modulus
         r1 = poly_trim(self.decode(a))
         s0: DensePoly = ()
@@ -539,14 +640,6 @@ class FieldCtx:
         self.ext = Field(p, f * d)
         self._embed_table = self._build_embedding()
         self._embed_inverse = {v: k for k, v in self._embed_table.items()}
-
-    @property
-    def defining_poly_q(self) -> DensePoly:
-        return self.base.modulus
-
-    @property
-    def defining_poly_qd(self) -> DensePoly:
-        return self.ext.modulus
 
     def _build_embedding(self) -> dict[int, int]:
         if self.f == 1:

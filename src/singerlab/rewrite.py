@@ -30,11 +30,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, discrete_log, element_order, poly_deriv, poly_gcd, roots_in_extension
+from .ffield import FieldCtx, discrete_log, element_order, factorint, poly_deriv, poly_gcd, roots_in_extension
 from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis, symmetric_power, word_products
 from .schur import (
     FactorSpec,

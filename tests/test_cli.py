@@ -321,3 +321,36 @@ def test_instance_without_generators_exits_one(instance_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--in", instance_path, "--result", result]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- cold start and the example scripts -----------------------------------------------
+
+
+def _run_python(args):
+    env = dict(os.environ)
+    src = str(Path(singerlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_import_loads_no_sympy():
+    proc = _run_python(["-c", "import sys, singerlab.cli; print(sorted(m for m in sys.modules if 'sympy' in m))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("roundtrip_demo.py", ["--q", "7", "--d", "3"]),
+        ("spectrum_demo.py", ["--q", "7", "--d", "3"]),
+        ("injectivity_grid.py", ["--q-max", "5", "--d-max", "3"]),
+    ],
+)
+def test_script_runs(script, args):
+    proc = _run_python([str(SCRIPTS / script), *args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -5,17 +5,23 @@ brute-force search over ascending coefficient tuples before this library
 existed; they freeze the lex-smallest-modulus convention.
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singerlab.ffield as ffield
 from singerlab.errors import CapacityExceeded, DivisionByZero, InvalidInput, NotInSubgroup
 from singerlab.ffield import (
     DLOG_LIMIT,
     Field,
+    _is_prime,
     discrete_log,
     element_order,
     factor_poly,
+    factorint,
     field_ctx,
     find_irreducible,
     find_roots,
@@ -189,3 +195,130 @@ def test_dlog_target_outside_subgroup():
     # 6 has order 2 in F_7; 3 is not a power of it
     with pytest.raises(NotInSubgroup):
         discrete_log(F7, 3, 6)
+
+
+# -- integer factorization ---------------------------------------------------
+
+
+def _trial_factor(n):
+    out, r = {}, 2
+    while r * r <= n:
+        while n % r == 0:
+            out[r] = out.get(r, 0) + 1
+            n //= r
+        r += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorint_matches_trial_division_below_20000():
+    for n in range(1, 20000):
+        want = _trial_factor(n)
+        assert factorint(n) == want, n
+        assert list(factorint(n)) == sorted(want), n
+        assert _is_prime(n) == (want == {n: 1}), n
+    assert not _is_prime(0) and not _is_prime(-7)
+    with pytest.raises(InvalidInput):
+        factorint(0)
+
+
+M31, M61, M89, M127 = 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [
+        (561, {3: 1, 11: 1, 17: 1}),  # Carmichael
+        (3215031751, {151: 1, 751: 1, 28351: 1}),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),  # ... to bases 2 through 37
+        (M31 * M61, {M31: 1, M61: 1}),  # above the Miller-Rabin bound: BPSW says composite
+        # strong pseudoprime to bases 2 through 37, and a product of two ~39-bit primes for rho
+        (318665857834031151167461, {399165290221: 1, 798330580441: 1}),
+        (10007 * 10099, {10007: 1, 10099: 1}),  # both factors land in one rho batch
+        (10007**2 * 10009, {10007: 2, 10009: 1}),
+    ],
+)
+def test_factorint_of_pseudoprimes_and_rho_cases(n, want):
+    assert not _is_prime(n)
+    assert factorint(n) == want
+
+
+@pytest.mark.parametrize("n", [M61, M89, M127])
+def test_mersenne_primes(n):
+    # 2^89 - 1 and 2^127 - 1 lie above 3.317e24, where the BPSW branch decides
+    assert _is_prime(n)
+    assert factorint(n) == {n: 1}
+    assert not _is_prime(n * n)
+
+
+@pytest.mark.parametrize(
+    "q,d",
+    [(2, 2), (2, 3), (4, 3), (3, 4), (3, 8), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4),
+     (7, 5), (9, 2), (9, 3), (9, 4), (17, 4), (2, 16), (2**31 - 1, 1), (2**61 - 1, 1)],
+)
+def test_factorint_of_tower_group_orders(q, d):
+    fac = factorint(q**d - 1)
+    assert all(_trial_factor(r) == {r: 1} for r in fac)
+    assert math.prod(r**e for r, e in fac.items()) == q**d - 1
+
+
+def test_factorint_and_is_prime_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2**64), st.integers(2**64, 2**128))
+    def check(n, big):
+        assert factorint(n) == sympy.factorint(n)
+        assert _is_prime(big) == sympy.isprime(big)
+        r = sympy.nextprime(big)
+        assert _is_prime(r) and not _is_prime(r * sympy.nextprime(r))
+
+    check()
+
+
+# -- exp/log tables ------------------------------------------------------------
+
+
+def _scalar_pow(F, a, e):
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc = F._polymul_code(acc, acc)
+        if bit == "1":
+            acc = F._polymul_code(acc, a)
+    return acc
+
+
+@pytest.mark.parametrize("p,m,gen", [(2, 2, 2), (3, 2, 4), (7, 3, 9), (3, 8, 4)])
+def test_exp_table_matches_scalar_chain(p, m, gen):
+    F = Field(p, m)
+    assert F.generator == gen
+    chain = [1]
+    for _ in range(F.order - 2):
+        chain.append(F._polymul_code(chain[-1], gen))
+    assert F._exp == chain
+    assert F._log == {c: i for i, c in enumerate(chain)}
+    assert all(type(c) is int for c in F._exp)
+
+
+def test_prime_field_generators():
+    # 1 generates F_2^* = {1}; every larger prime field starts its search at 2
+    assert [Field(p).generator for p in (2, 3, 5, 7, 17, 2**31 - 1)] == [1, 2, 2, 3, 3, 7]
+
+
+def test_largest_tabled_field():
+    F = Field(2, 16)
+    assert F.order == ffield.TABLE_LIMIT and F.generator == 6
+    assert all(F._log[F._exp[i]] == i for i in range(F.order - 1))
+    rng = random.Random(0)
+    for i in rng.sample(range(F.order - 1), 500):
+        assert F._exp[i] == _scalar_pow(F, 6, i)
+
+
+def test_untabled_inverse_builds_no_field(monkeypatch):
+    F = Field(17, 4)
+    assert F._exp is None
+    F.inv(2)
+    monkeypatch.setattr(ffield, "_is_prime", lambda n: pytest.fail("a field was built"))
+    for a in (1, 2, 17, 12345, F.order - 1):
+        assert F._polymul_code(a, F.inv(a)) == 1
