@@ -558,11 +558,9 @@ def _ddf(F: Field, f: DensePoly) -> list[tuple[DensePoly, int]]:
     return out
 
 
-def _edf(F: Field, f: DensePoly, e: int, rng: random.Random) -> list[DensePoly]:
-    """Equal-degree splitting of a monic squarefree product of degree-e irreducibles."""
+def _edf_split(F: Field, f: DensePoly, e: int, rng: random.Random) -> DensePoly:
+    """A proper monic factor of f, a monic squarefree product of at least two degree-e irreducibles."""
     n = poly_deg(f)
-    if n == e:
-        return [f]
     q = F.order
     while True:
         r = _random_poly(F, n, rng)
@@ -580,9 +578,15 @@ def _edf(F: Field, f: DensePoly, e: int, rng: random.Random) -> list[DensePoly]:
             s = poly_pow_mod(F, r, (q**e - 1) // 2, f)
             g = poly_gcd(F, f, poly_sub(F, s, (1,)))
         if 0 < poly_deg(g) < n:
-            left = _edf(F, g, e, rng)
-            right = _edf(F, poly_divmod(F, f, g)[0], e, rng)
-            return left + right
+            return g
+
+
+def _edf(F: Field, f: DensePoly, e: int, rng: random.Random) -> list[DensePoly]:
+    """Equal-degree splitting of a monic squarefree product of degree-e irreducibles."""
+    if poly_deg(f) == e:
+        return [f]
+    g = _edf_split(F, f, e, rng)
+    return _edf(F, g, e, rng) + _edf(F, poly_divmod(F, f, g)[0], e, rng)
 
 
 def factor_poly(F: Field, g: DensePoly) -> list[tuple[DensePoly, int]]:
@@ -703,19 +707,30 @@ def roots_in_extension(ctx: FieldCtx, g: DensePoly) -> list[tuple[int, int]]:
     """All roots of g (over F_q) lying in F_{q^d}, as (ext code, multiplicity).
 
     Roots of an irreducible degree-e factor of g appear exactly when e
-    divides d. Ordering follows factor order, then coefficient vectors.
+    divides d, and then they are e distinct conjugates: one comes from
+    equal-degree splitting of the factor over F_{q^d}, keeping only the
+    smaller part of each split, and the others are its images under the
+    q-power Frobenius. Ordering follows factor order, then coefficient
+    vectors; each root carries its factor's multiplicity.
     """
     g = poly_trim(g)
     if not g:
         raise InvalidInput("cannot take roots of the zero polynomial")
+    ext = ctx.ext
     out: list[tuple[int, int]] = []
     for f, mult in factor_poly(ctx.base, g):
         e = poly_deg(f)
         if ctx.d % e:
             continue
-        emb = ctx.embed_poly(f)
-        for root, rmult in find_roots(ctx.ext, emb):
-            out.append((root, mult * rmult))
+        h = ctx.embed_poly(f)
+        rng = _edf_rng(ext, h)
+        while poly_deg(h) > 1:
+            a = _edf_split(ext, h, 1, rng)
+            h = min(a, poly_divmod(ext, h, a)[0], key=poly_deg)
+        orbit = [ext.neg(h[0])]
+        for _ in range(e - 1):
+            orbit.append(ctx.frobenius(orbit[-1], 1))
+        out.extend((lam, mult) for lam in sorted(orbit, key=ext.decode))
     return out
 
 

@@ -21,7 +21,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import DensePoly, Field, FieldCtx, poly_trim, roots_in_extension
+from .ffield import DensePoly, Field, FieldCtx, poly_trim
 
 # ---------------------------------------------------------------------------
 # the digit-tensor kernel
@@ -181,14 +181,14 @@ class Matrix:
             raise ShapeMismatch("matrix power needs a square matrix")
         if e < 0:
             return self.inv().pow(-e)
-        result = Matrix.identity(self.field, n)
-        base = self
-        while e:
+        result, base = None, self
+        while e:  # no product with the identity and no square past the top bit
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base.copy() if result is None else result @ base
             e >>= 1
-        return result
+            if e:
+                base = base @ base
+        return Matrix.identity(self.field, n) if result is None else result
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy())
@@ -368,7 +368,7 @@ def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and eigenpairs
+# characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -429,26 +429,6 @@ def embed_matrix(ctx: FieldCtx, A: Matrix) -> Matrix:
     if ctx.f == 1:
         return Matrix(ctx.ext, A.a.copy())
     return Matrix(ctx.ext, A.a.copy()).map_entries(ctx.embed)
-
-
-def eigenpairs_over_extension(
-    ctx: FieldCtx, A: Matrix
-) -> list[tuple[int, int, list[list[int]]]]:
-    """Eigenvalues of A (over F_q) that lie in F_{q^d}, with eigenspaces.
-
-    Returns (eigenvalue code in ext, algebraic multiplicity, kernel basis of
-    A - lam I over ext), in the deterministic root order of
-    roots_in_extension.
-    """
-    cp = char_poly(A)
-    ext = ctx.ext
-    a_ext = embed_matrix(ctx, A)
-    n = A.shape[0]
-    out = []
-    for lam, mult in roots_in_extension(ctx, cp):
-        shifted = a_ext - Matrix.identity(ext, n).scale(lam)
-        out.append((lam, mult, kernel_basis(shifted)))
-    return out
 
 
 def random_invertible(F: Field, n: int, rng) -> Matrix:

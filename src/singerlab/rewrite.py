@@ -229,6 +229,17 @@ def _squarefree(F, poly) -> bool:
     return len(poly_gcd(F, poly, poly_deriv(F, poly))) == 1
 
 
+def _passes_powers(m: Matrix, n1: int, ppd_e: int | None) -> bool:
+    """For m with a squarefree characteristic polynomial: every eigenvalue
+    lies in F_{q^d}^x (n1 = q^d - 1) and, given a ppd exponent, not every
+    eigenvalue lies in its index-r subgroup."""
+    one = Matrix.identity(m.field, m.shape[0])
+    if ppd_e is None:
+        return m.pow(n1) == one
+    P = m.pow(ppd_e)
+    return P != one and P.pow(n1 // ppd_e) == one
+
+
 def find_singer_candidate(
     publics: list[Matrix],
     spec: ModuleSpec,
@@ -240,22 +251,27 @@ def find_singer_candidate(
 ) -> tuple[Matrix, int, dict[int, DigitVector]] | None:
     """Search the group for an element with simple, fully split spectrum
     matching a primitive digit model. Generators are tried before random
-    words since a planted instance often exposes one directly."""
-    n = dim(spec)
+    words since a planted instance often exposes one directly.
+
+    Rejection runs over F_q. Once the characteristic polynomial of m is
+    squarefree it is also its minimal polynomial, so m is diagonalizable
+    over the splitting field and m^E = I exactly when lam^E = 1 for every
+    eigenvalue lam. With N = q^d - 1 and r the ppd prime behind
+    _ppd_exponent: m^(N/r) = I says every eigenvalue lies in the index-r
+    subgroup of F_{q^d}^x (the ppd rejection), and m^N != I says some
+    eigenvalue is zero or lies outside F_{q^d}, so the spectrum does not
+    split into n simple nonzero roots there. Only elements that pass both
+    pay for root finding over F_{q^d}."""
+    n1 = ctx.ext.order - 1
     patterns = list(aggregated_patterns(spec))
     ppd_e = _ppd_exponent(ctx, patterns)
     sources = itertools.chain(iter(publics) if try_generators else iter(()), iter(sampler.draw, None))
     for m in itertools.islice(sources, budget):
         stats.elements_sampled += 1
         cp = char_poly(m)
-        if not _squarefree(m.field, cp):
+        if not _squarefree(m.field, cp) or not _passes_powers(m, n1, ppd_e):
             continue
-        roots = roots_in_extension(ctx, cp)
-        if len(roots) != n or any(mult != 1 for _, mult in roots):
-            continue
-        eigs = [lam for lam, _ in roots]
-        if ppd_e is not None and all(ctx.ext.pow(lam, ppd_e) == 1 for lam in eigs):
-            continue
+        eigs = [lam for lam, _ in roots_in_extension(ctx, cp)]
         got = recover_omega(eigs, spec, ctx, stats)
         if got is not None:
             return m, got[0], got[1]

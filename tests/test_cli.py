@@ -348,6 +348,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("roundtrip_demo.py", ["--q", "7", "--d", "3"]),
         ("spectrum_demo.py", ["--q", "7", "--d", "3"]),
         ("injectivity_grid.py", ["--q-max", "5", "--d-max", "3"]),
+        ("spectrum_demo.py", ["--q", "9", "--d", "3"]),
     ],
 )
 def test_script_runs(script, args):

@@ -28,7 +28,10 @@ from singerlab.ffield import (
     is_primitive,
     poly_eval,
     poly_gcd,
+    poly_deg,
     poly_mul,
+    poly_trim,
+    roots_in_extension,
 )
 
 F7 = Field(7)
@@ -165,6 +168,43 @@ def test_factor_poly_recombines():
     fac = factor_poly(F, f)
     assert ((1, 1), 2) in fac
     assert poly_gcd(F, f, (1, 1)) == (1, 1)
+
+
+def _roots_by_full_factoring(ctx, g):
+    """The earlier algorithm: factor each embedded base factor completely over F_{q^d}."""
+    ext = ctx.ext
+    out = []
+    for f, mult in factor_poly(ctx.base, g):
+        if ctx.d % poly_deg(f) == 0:
+            lin = [(ext.neg(h[0]), m) for h, m in factor_poly(ext, ctx.embed_poly(f)) if poly_deg(h) == 1]
+            out.extend((lam, mult * m) for lam, m in sorted(lin, key=lambda rm: ext.decode(rm[0])))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,f,d",
+    [(2, 1, 4), (2, 2, 3), (2, 3, 2), (7, 1, 3), (5, 1, 4), (17, 1, 2), (3, 2, 2), (3, 2, 4), (5, 2, 2)],
+)
+def test_roots_in_extension_match_full_factoring(p, f, d):
+    """Same list, order included, on products of an irreducible of every
+    degree e | d (some repeated), the factor x, a random minimal polynomial
+    and a random polynomial, whose factors need not divide d in degree."""
+    ctx = field_ctx(p, f, d)
+    base, ext = ctx.base, ctx.ext
+    n1 = ext.order - 1
+    # the minimal polynomial of a generator of F_{q^e}^x is irreducible of degree e
+    irreducibles = [
+        ctx.min_poly_over_base(ext.pow(ext.generator, n1 // (ctx.q**e - 1))) for e in range(1, d + 1) if d % e == 0
+    ]
+    assert sorted(map(poly_deg, irreducibles)) == [e for e in range(1, d + 1) if d % e == 0]
+    rng = random.Random(repr(("roots", p, f, d)))
+    for _ in range(40):
+        g = ctx.min_poly_over_base(rng.randrange(1, ext.order))
+        for h in rng.sample(irreducibles, rng.randint(1, len(irreducibles))) + [(0, 1)] * rng.randint(0, 1):
+            for _ in range(rng.randint(1, 3)):
+                g = poly_mul(base, g, h)
+        g = poly_mul(base, g, poly_trim([rng.randrange(base.order) for _ in range(4)]) or (1,))
+        assert roots_in_extension(ctx, g) == _roots_by_full_factoring(ctx, g)
 
 
 # -- discrete logarithms -----------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 
 from singerlab.digitmap import phi
 from singerlab.errors import ConstraintViolation, InvalidInput, UnsupportedFactor
-from singerlab.ffield import field_ctx
-from singerlab.matfq import Matrix, embed_matrix, random_invertible
+from singerlab.ffield import factor_poly, field_ctx, find_roots, poly_deg
+from singerlab.instgen import gen_instance
+from singerlab.matfq import Matrix, char_poly, embed_matrix, random_invertible
 from singerlab.rewrite import (
     ElementSampler,
     Failure,
@@ -102,6 +103,87 @@ def test_recover_omega_rejects_wrong_multiset():
 def test_recover_omega_needs_distinct_values():
     spec = spec_of("sym(2)")
     assert recover_omega([1, 1, 1, 1, 1, 1], spec, CTX73) is None
+
+
+# -- candidate search ------------------------------------------------------------------
+
+SEARCH_CASES = [  # (p, f, d, spec, planted): F_4 (p = 2), F_9, F_7, F_17 with an untabled extension,
+    # and F_7 with d = 2, where 7^2 - 1 = 48 has no ppd prime
+    (2, 2, 3, "nat", False),
+    (3, 2, 4, "ext(2)", False),
+    (7, 1, 3, "sym(2)", False),
+    (17, 1, 4, "sym(2)", True),
+    (7, 1, 2, "sym(2)", False),
+]
+
+
+def _old_verdict(ctx, m, ppd_e):
+    """The rule the matrix-power test replaced, on full root finding over
+    F_{q^d}: n simple nonzero roots (recover_omega refuses a zero one), not
+    all of them in the ppd subgroup."""
+    roots = [
+        (lam, mult)
+        for f, mult in factor_poly(ctx.base, char_poly(m))
+        if ctx.d % poly_deg(f) == 0
+        for lam, _ in find_roots(ctx.ext, ctx.embed_poly(f))
+    ]
+    if len(roots) != m.shape[0] or any(mult != 1 or lam == 0 for lam, mult in roots):
+        return False
+    return ppd_e is None or not all(ctx.ext.pow(lam, ppd_e) == 1 for lam, _ in roots)
+
+
+@pytest.mark.parametrize("p,f,d,text,plant", SEARCH_CASES)
+def test_power_rejection_matches_root_finding(p, f, d, text, plant):
+    """Past the squarefree check, the verdict decided by matrix powers over
+    F_q equals the one read off the roots over F_{q^d}, on random invertible
+    matrices and on product-replacement samples."""
+    rw = importlib.import_module("singerlab.rewrite")
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=p**f, d=d)
+    n1 = ctx.ext.order - 1
+    ppd_e = rw._ppd_exponent(ctx, list(aggregated_patterns(spec)))
+    assert (ppd_e is None) == (d == 2)
+    rng = random.Random(repr(("powers", p, f, d)))
+    gens = list(gen_instance(ctx, spec, 2, 3, plant_singer=plant).generators)
+    sampler = ElementSampler(gens, rng)
+    draws = gens + [random_invertible(ctx.base, dim(spec), rng) for _ in range(12)]
+    draws += [sampler.draw() for _ in range(24)]
+    verdicts = []
+    for m in draws:
+        if rw._squarefree(ctx.base, char_poly(m)):
+            verdicts.append(rw._passes_powers(m, n1, ppd_e))
+            assert verdicts[-1] == _old_verdict(ctx, m, ppd_e)
+    assert True in verdicts and False in verdicts
+
+
+def test_root_finding_runs_only_on_accepted_candidates(monkeypatch):
+    """On the search-ext2-q9 family every call to roots_in_extension gets
+    a candidate that the split and ppd filters keep: n simple roots, not all
+    in the ppd subgroup. Nothing reaches root finding only to be thrown out."""
+    rw = importlib.import_module("singerlab.rewrite")
+    ctx = field_ctx(3, 2, 4)
+    spec = spec_of("ext(2)", q=9, d=4)
+    n = dim(spec)
+    ppd_e = rw._ppd_exponent(ctx, list(aggregated_patterns(spec)))
+    assert ppd_e is not None
+    calls = []
+    real = rw.roots_in_extension
+
+    def recording(c, g):
+        calls.append(real(c, g))
+        return calls[-1]
+
+    monkeypatch.setattr(rw, "roots_in_extension", recording)
+    sampled = 0
+    for seed in range(3):
+        inst = gen_instance(ctx, spec, 2, seed, plant_singer=False)
+        res = rewrite(spec, list(inst.generators), ctx, RewriteConfig(eps=0.01))
+        sampled += res.stats.elements_sampled
+    assert 0 < len(calls) < sampled
+    for roots in calls:
+        eigs = [lam for lam, _ in roots]
+        assert len(set(eigs)) == n and all(mult == 1 for _, mult in roots)
+        assert not all(ctx.ext.pow(lam, ppd_e) == 1 for lam in eigs)
 
 
 # -- eigenbasis ----------------------------------------------------------------------
