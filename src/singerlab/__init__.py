@@ -1,8 +1,7 @@
 """Spectral labeling and rewriting for matrix groups with a cyclically regular element.
 
 The verdict dataclasses (Match, Simple, Ok, Verified, ...) stay in their
-defining modules; two of them share the name Repeated, so re-exporting
-them here would invite shadowing bugs.
+defining modules.
 """
 
 from .digitmap import (

@@ -245,6 +245,15 @@ def cmd_gen_instance(args) -> int:
     return EXIT_OK
 
 
+# The RewriteStats counters a result or failure payload reports; wall_time
+# stays out so --format json is byte-stable.
+_STATS_KEYS = ("elements_sampled", "dlog_calls", "retries")
+
+
+def _stats_dict(stats: RewriteStats) -> dict:
+    return {key: getattr(stats, key) for key in _STATS_KEYS}
+
+
 def result_to_dict(res: RewriteResult, p: int, f: int) -> dict:
     return {
         "spec": res.spec.text(),
@@ -256,11 +265,7 @@ def result_to_dict(res: RewriteResult, p: int, f: int) -> dict:
         "C": res.C.tolist(),
         "labels": [[list(c), lam] for c, lam in res.labels],
         "scalars": list(res.scalars),
-        "stats": {
-            "elements_sampled": res.stats.elements_sampled,
-            "dlog_calls": res.stats.dlog_calls,
-            "retries": res.stats.retries,
-        },
+        "stats": _stats_dict(res.stats),
     }
 
 
@@ -277,7 +282,7 @@ def result_from_dict(data: dict) -> tuple[RewriteResult, int, int]:
         )
         scalars = tuple(read_int(x, "scalar") for x in data["scalars"])
         st = data.get("stats", {})
-        stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in ("elements_sampled", "dlog_calls", "retries")})
+        stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in _STATS_KEYS})
         res = RewriteResult(spec, read_int(data["omega"], "omega"), C, labels, preimages, scalars, stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed result data: {exc}") from exc
@@ -295,15 +300,7 @@ def cmd_rewrite(args) -> int:
     cfg = RewriteConfig(eps=args.eps, rng_seed=_seed(args))
     res = rewrite(inst.spec, list(inst.generators), ctx, cfg)
     if isinstance(res, Failure):
-        payload = {
-            "verdict": "failure",
-            "reason": res.reason,
-            "stats": {
-                "elements_sampled": res.stats.elements_sampled,
-                "dlog_calls": res.stats.dlog_calls,
-                "retries": res.stats.retries,
-            },
-        }
+        payload = {"verdict": "failure", "reason": res.reason, "stats": _stats_dict(res.stats)}
         _emit(payload, args, lambda pl: [f"failure: {pl['reason']}"])
         return EXIT_BUDGET
     out = args.out or _default_result_path(args.infile)

@@ -3,8 +3,9 @@
 Everything in this module is plain integer arithmetic: digit vectors index
 eigenvalues as exponents of a multiplicative generator, and the central
 question is when the map from digit vectors to residues mod q^d - 1 is
-injective. No field elements appear except in the two convenience bridges
-at the bottom (model_eigenvalues, exponent_and_digits).
+injective. No field elements appear except in the convenience bridge at
+the bottom (exponent_and_digits); the eigenvalues omega^phi(c) of the
+digit model are listed by schur.model_spectrum.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapacityExceeded, InvalidInput, NotPrimitive
-from .ffield import FieldCtx, discrete_log, is_primitive
+from .errors import CapacityExceeded, InvalidInput
+from .ffield import FieldCtx, discrete_log
 
 
 class DigitVector(tuple):
@@ -139,23 +140,6 @@ def twisted_aggregate(parts: list[tuple[DigitVector, int]], d: int) -> DigitVect
         for i, c in enumerate(b):
             out[(i + e) % d] += c
     return DigitVector(out)
-
-
-def model_eigenvalues(ctx: FieldCtx, spec, omega: int) -> dict[DigitVector, int]:
-    """Predicted eigenvalue omega^phi(c) for each aggregated pattern c of a module.
-
-    Patterns that coincide (a module that is not multiplicity-free) collapse
-    to a single key, so the result always maps patterns to values, not labels.
-    """
-    if not is_primitive(ctx.ext, omega):
-        raise NotPrimitive("omega does not generate the multiplicative group")
-    from .schur import aggregated_patterns
-
-    out: dict[DigitVector, int] = {}
-    for c in aggregated_patterns(spec):
-        if c not in out:
-            out[c] = ctx.ext.pow(omega, phi(c, ctx.q, ctx.d))
-    return out
 
 
 def exponent_and_digits(lam: int, omega: int, ctx: FieldCtx) -> tuple[int, DigitVector]:

@@ -19,7 +19,6 @@ from collections import Counter
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -200,14 +199,6 @@ class Field:
 
     def encode(self, coeffs: tuple[int, ...]) -> int:
         return sum((c % self.p) * w for c, w in zip(coeffs, self._weights))
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    def check(self, code: int) -> int:
-        if not 0 <= code < self.order:
-            raise InvalidInput(f"code {code} out of range for {self!r}")
-        return code
 
     # -- arithmetic --------------------------------------------------------
 
@@ -675,9 +666,6 @@ class FieldCtx:
         except KeyError:
             raise InvalidInput(f"ext code {a} is not in the embedded base field") from None
 
-    def in_base_image(self, a: int) -> bool:
-        return a in self._embed_inverse
-
     def embed_poly(self, g: DensePoly) -> DensePoly:
         return tuple(self.embed(c) for c in g)
 
@@ -812,3 +800,19 @@ def discrete_log(F: Field, target: int, base: int) -> int:
     if F.pow(base, e) != target:
         raise NotInSubgroup("target is not a power of the base")
     return e % n
+
+
+def nth_roots(F: Field, n: int, r: int) -> list[int]:
+    """All x in F* with x^n = r, as generator powers g^(t0 + j*step) in
+    increasing j; one discrete log of r decides and finds them."""
+    if r == 0:
+        return []
+    q1 = F.order - 1
+    g = F.generator
+    a = discrete_log(F, r, g)
+    gd = gcd(n % q1 or q1, q1)
+    if a % gd:
+        return []
+    step = q1 // gd
+    t0 = (a // gd) * pow((n % q1 or q1) // gd, -1, step) % step
+    return [F.pow(g, t0 + j * step) for j in range(gd)]

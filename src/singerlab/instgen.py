@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput
-from .ffield import FieldCtx, discrete_log, field_ctx
+from .ffield import FieldCtx, field_ctx, nth_roots
 from .matfq import Matrix, kernel_basis, kron, random_invertible, read_int
 from .schur import (
     ModuleSpec,
@@ -122,21 +121,6 @@ def tamper(inst: PlantedInstance, seed: int = 0) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _nth_roots(F, n: int, r: int) -> list[int]:
-    """All x in F* with x^n = r."""
-    if r == 0:
-        return []
-    q1 = F.order - 1
-    g = F.generator
-    a = discrete_log(F, r, g)
-    gd = math.gcd(n % q1 or q1, q1)
-    if a % gd:
-        return []
-    step = q1 // gd
-    t0 = (a // gd) * pow((n % q1 or q1) // gd, -1, step) % step
-    return [F.pow(g, t0 + j * step) for j in range(gd)]
-
-
 def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     """Certify the instance against its oracle. Scalars are pinned by
     nu^dim(W) matching the determinant ratio; for each combination (up to a
@@ -158,7 +142,7 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
         dg = G.det()
         if dg == 0:
             return Inconsistent(f"oracle generator {i} has singular image")
-        roots = _nth_roots(base, n, base.div(M.det(), dg))
+        roots = nth_roots(base, n, base.div(M.det(), dg))
         if not roots:
             return Inconsistent(f"no scalar matches the determinant ratio of generator {i}")
         root_lists.append(roots)

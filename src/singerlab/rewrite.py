@@ -33,7 +33,7 @@ import numpy as np
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, discrete_log, element_order, factorint, poly_deriv, poly_gcd, roots_in_extension
+from .ffield import FieldCtx, element_order, factorint, nth_roots, poly_deriv, poly_gcd, roots_in_extension
 from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis, symmetric_power, word_products
 from .schur import (
     FactorSpec,
@@ -43,7 +43,9 @@ from .schur import (
     factor_dim,
     factor_labels,
     induced_matrix,
+    model_spectrum,
     require_supported,
+    twist_matrix,
 )
 
 # Caps that turn pathological inputs into clean failures instead of stalls:
@@ -51,6 +53,13 @@ from .schur import (
 # observations a calibration may request before giving up on the attempt.
 ROOT_ENUM_CAP = 4096
 OBSERVATION_CAP = 24
+
+# Random words: lengths drawn uniformly from WORD_LENGTHS, VERIFICATION_WORDS
+# of them checked per verification, and SAMPLER_WARMUP product-replacement
+# steps before the first draw.
+WORD_LENGTHS = (2, 16)
+VERIFICATION_WORDS = 20
+SAMPLER_WARMUP = 20
 
 
 class _Degenerate(Exception):
@@ -64,15 +73,10 @@ class RewriteConfig:
 
     eps: float = 0.01
     rng_seed: int = 0
-    word_length_range: tuple[int, int] = (2, 16)
-    verification_words: int = 20
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
             raise InvalidInput("eps must lie strictly between 0 and 1")
-        lo, hi = self.word_length_range
-        if not (1 <= lo <= hi):
-            raise InvalidInput("word length range must satisfy 1 <= lo <= hi")
 
     @property
     def max_element_trials(self) -> int:
@@ -127,7 +131,7 @@ class ElementSampler:
     a random side and advances the accumulator through it.
     """
 
-    def __init__(self, generators: list[Matrix], rng: random.Random, warmup: int = 20):
+    def __init__(self, generators: list[Matrix], rng: random.Random):
         if not generators:
             raise InvalidInput("need at least one generator to sample from")
         slots = [g.copy() for g in generators]
@@ -138,7 +142,7 @@ class ElementSampler:
         self._slots = slots
         self._acc = Matrix.identity(generators[0].field, generators[0].shape[0])
         self._rng = rng
-        for _ in range(warmup):
+        for _ in range(SAMPLER_WARMUP):
             self._step()
 
     def _step(self) -> None:
@@ -175,37 +179,26 @@ def recover_omega(
 ) -> tuple[int, dict[int, DigitVector]] | None:
     """Find a primitive omega with {omega^phi(c)} equal to the given
     eigenvalue set, trying each eigenvalue as the image of the lex-greatest
-    pattern. Returns (omega, eigenvalue -> pattern) or None."""
+    pattern c0: the candidates are the phi(c0)-th roots of it. Returns
+    (omega, eigenvalue -> pattern) or None."""
     ext = ctx.ext
     n1 = ext.order - 1
     patterns = list(aggregated_patterns(spec))
     if len(set(eigenvalues)) != len(patterns) or len(set(patterns)) != len(patterns):
         return None
-    c0 = max(patterns)
-    e0 = phi(c0, ctx.q, ctx.d)
-    if e0 == 0:
+    e0 = phi(max(patterns), ctx.q, ctx.d)
+    if e0 == 0 or math.gcd(e0, n1) > ROOT_ENUM_CAP:
         return None
-    g0 = ext.generator
-    g = math.gcd(e0, n1)
-    if g > ROOT_ENUM_CAP:
-        return None
-    step = n1 // g
-    inv = pow(e0 // g, -1, step)
     want = sorted(eigenvalues)
     for lam in eigenvalues:
         if lam == 0:
             return None
-        a = discrete_log(ext, lam, g0)
         if stats is not None:
             stats.dlog_calls += 1
-        if a % g:
-            continue
-        t0 = (a // g) * inv % step
-        for j in range(g):
-            rho = ext.pow(g0, t0 + j * step)
+        for rho in nth_roots(ext, e0, lam):
             if element_order(ext, rho) != n1:
                 continue
-            labeling = {ext.pow(rho, phi(c, ctx.q, ctx.d)): c for c in patterns}
+            labeling = {v: c for c, v in model_spectrum(spec, ctx, rho)}
             if sorted(labeling) == want:
                 return rho, labeling
     return None
@@ -309,8 +302,7 @@ def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: in
     eye = Matrix.identity(ext, n)
     rows = []
     lams = []
-    for c in aggregated_patterns(spec):
-        lam = ext.pow(omega, phi(c, ctx.q, ctx.d))
+    for _, lam in model_spectrum(spec, ctx, omega):
         ker = kernel_basis(wt - eye.scale(lam))
         if len(ker) != 1:
             raise _Degenerate("eigenspace dimension is not one")
@@ -554,7 +546,10 @@ def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
 
 def reconstruct_generator(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
     """Read a d x d preimage off a calibrated functor image, normalized to
-    leading entry 1. The result is exact up to that scalar."""
+    leading entry 1. The result is exact up to that scalar. A diagonal N
+    (a group inside the torus the frame splits) needs no special case: the
+    sym and wedge schemes rebuild X = I and read the diagonal preimage off
+    label ratios."""
     if factor.kind == "nat" or factor.k == 1:
         return _normalize_first(N)
     if factor.kind == "sym":
@@ -572,41 +567,14 @@ def _is_diagonal(M: Matrix) -> bool:
     return not off.any()
 
 
-def _extract_diagonal(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
-    """Preimage of a diagonal functor image. When every observation is
-    diagonal the group sits inside the torus the frame splits, entry-ratio
-    and wedge schemes starve on zeros, and a diagonal preimage with entries
-    read off label ratios is the right answer."""
-    ext = N.field
-    o = [int(N.a[i, i]) for i in range(N.shape[0])]
-    if not all(o):
-        raise _Degenerate("diagonal functor image with a zero eigenvalue")
-    if factor.kind == "nat" or factor.k == 1:
-        return _normalize_first(N)
-    b = [1] * d
-    if factor.kind == "sym":
-        idx = _sym_index(factor.k, d)
-        top = DigitVector([factor.k if i == 0 else 0 for i in range(d)])
-        for v in range(1, d):
-            b[v] = ext.div(o[idx[_bump(top, 0, v)]], o[idx[top]])
-    else:
-        idx = {s: i for i, s in enumerate(itertools.combinations(range(d), factor.k))}
-        for j in range(1, d):
-            rest = [x for x in range(d) if x not in (0, j)][: factor.k - 1]
-            ca = tuple(sorted(rest + [0]))
-            cb = tuple(sorted(rest + [j]))
-            b[j] = ext.div(o[idx[cb]], o[idx[ca]])
-    return _diag(ext, b)
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
 
-def _draw_words(rng: random.Random, letters: int, count: int, length_range: tuple[int, int]) -> list[list[int]]:
+def _draw_words(rng: random.Random, letters: int, count: int) -> list[list[int]]:
     """Random words: per word a length from rng.randint, then its letters."""
-    return [[rng.randrange(letters) for _ in range(rng.randint(*length_range))] for _ in range(count)]
+    return [[rng.randrange(letters) for _ in range(rng.randint(*WORD_LENGTHS))] for _ in range(count)]
 
 
 def _proportional(L: Matrix, R: Matrix) -> int | None:
@@ -630,8 +598,6 @@ def verify_projective(
     C: Matrix,
     preimages: tuple[Matrix, ...] | list[Matrix],
     rng: random.Random | None = None,
-    words: int = 20,
-    length_range: tuple[int, int] = (2, 16),
 ) -> Verified | Refuted:
     """Exact acceptance check: induced(spec, preimage) proportional to
     C @ public @ C^{-1} for every generator, then for sampled words, whose
@@ -660,7 +626,7 @@ def verify_projective(
         if mu is None:
             return Refuted(f"generator {i} image is not proportional to its model")
         mus.append(mu)
-    seqs = _draw_words(rng or random.Random(1), len(epubs), words, length_range)
+    seqs = _draw_words(rng or random.Random(1), len(epubs), VERIFICATION_WORDS)
     pairs = zip(word_products(preimages, seqs), word_products(models, seqs))
     for t, (AW, MW) in enumerate(pairs):
         if _proportional(induced_matrix(spec, AW), MW) is None:
@@ -673,15 +639,8 @@ def verify_projective(
 # ---------------------------------------------------------------------------
 
 
-def _frob_mat(ctx: FieldCtx, M: Matrix, e: int) -> Matrix:
-    e %= ctx.d
-    if e == 0:
-        return M
-    return M.map_entries(lambda x: ctx.frobenius(x, e))
-
-
-def _word_matrix(epubs: list[Matrix], rng: random.Random, length_range: tuple[int, int]) -> Matrix:
-    return word_products(epubs, _draw_words(rng, len(epubs), 1, length_range))[0]
+def _word_matrix(epubs: list[Matrix], rng: random.Random) -> Matrix:
+    return word_products(epubs, _draw_words(rng, len(epubs), 1))[0]
 
 
 def _extract_with_fallback(
@@ -694,7 +653,6 @@ def _extract_with_fallback(
     mhat,
     epubs: list[Matrix],
     rng: random.Random,
-    cfg: RewriteConfig,
 ) -> Matrix:
     """Direct extraction, else multiply by words y whose own extraction
     works and divide: preimages multiply projectively, so A_x follows from
@@ -705,7 +663,7 @@ def _extract_with_fallback(
     except _Degenerate:
         pass
     for _ in range(8):
-        y = _word_matrix(epubs, rng, cfg.word_length_range)
+        y = _word_matrix(epubs, rng)
         try:
             ay = reconstruct_generator(calibrated(mhat(y)), factor, d)
             axy = reconstruct_generator(calibrated(mhat(epubs[x_index] @ y)), factor, d)
@@ -743,7 +701,6 @@ def rewrite(
             raise InvalidInput("generator images must be invertible")
 
     ext = ctx.ext
-    e_star = factor.twist % ctx.d
     e_back = (-factor.twist) % ctx.d
     rng = random.Random(repr(("rewrite", ctx.p, ctx.f, ctx.d, spec.text(), cfg.rng_seed)))
     sampler = ElementSampler(publics, rng)
@@ -770,44 +727,28 @@ def rewrite(
             c0inv = C0.inv()
 
             def mhat(m_ext: Matrix) -> Matrix:
-                return _frob_mat(ctx, C0 @ m_ext @ c0inv, e_back)
+                return twist_matrix(C0 @ m_ext @ c0inv, ctx.q, e_back)
 
             def more() -> Matrix:
-                return mhat(_word_matrix(epubs, rng, cfg.word_length_range))
+                return mhat(_word_matrix(epubs, rng))
 
             observations = [mhat(m) for m in epubs]
             if all(_is_diagonal(O) for O in observations):
                 # The group sits inside the torus this frame splits; the
-                # correction is unconstrained and unnecessary.
-                preimages = tuple(
-                    _extract_diagonal(O, factor, ctx.d) for O in observations
-                )
-                C = C0
+                # correction is unconstrained and unnecessary, so none is made.
+                theta = Matrix.identity(ext, n)
             else:
                 theta = _calibrate(factor, spec, observations, more, ext)
-                theta_inv = theta.inv()
-                preimages = tuple(
-                    _extract_with_fallback(
-                        i, observations, factor, ctx.d, theta, theta_inv, mhat, epubs, rng, cfg
-                    )
-                    for i in range(len(publics))
-                )
-                C = _frob_mat(ctx, theta, e_star).inv() @ C0
-            ver = verify_projective(
-                spec,
-                ctx,
-                publics,
-                C,
-                preimages,
-                rng=rng,
-                words=cfg.verification_words,
-                length_range=cfg.word_length_range,
+            theta_inv = theta.inv()
+            preimages = tuple(
+                _extract_with_fallback(i, observations, factor, ctx.d, theta, theta_inv, mhat, epubs, rng)
+                for i in range(len(publics))
             )
+            C = twist_matrix(theta, ctx.q, factor.twist).inv() @ C0
+            ver = verify_projective(spec, ctx, publics, C, preimages, rng=rng)
             if isinstance(ver, Refuted):
                 raise _Degenerate(f"verification rejected the attempt: {ver.detail}")
-            labels = tuple(
-                (c, ext.pow(omega, phi(c, ctx.q, ctx.d))) for c in aggregated_patterns(spec)
-            )
+            labels = tuple(model_spectrum(spec, ctx, omega))
             stats.wall_time = time.perf_counter() - t0
             return RewriteResult(spec, omega, C, labels, preimages, ver.scalars, stats)
         except _Degenerate as exc:

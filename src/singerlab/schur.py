@@ -5,7 +5,9 @@ A ModuleSpec fixes the ambient dimension d, the field size q, and an ordered
 factor list. Basis labels are per-factor index tuples (multisets for Sym,
 increasing subsets for Ext), combined left-factor-major; each label carries
 an aggregated digit vector obtained by shifting every factor's digit counts
-by its twist. induced_matrix(spec, A) is the matrix functor itself.
+by its twist. model_spectrum(spec, ctx, omega) pairs each label's pattern
+c with its model eigenvalue omega^phi(c), and induced_matrix(spec, A) is
+the matrix functor itself.
 
 Sym(k) uses the convention pinned by the d=2 example
 
@@ -25,12 +27,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .digitmap import DigitVector, twisted_aggregate
+from .digitmap import DigitVector, phi, twisted_aggregate
 from .errors import ConstraintViolation, InvalidInput, ShapeMismatch
 from .ffield import FieldCtx
 from .matfq import Matrix, compound_matrix, kron, symmetric_power
 
 KINDS = ("nat", "sym", "ext")
+
+# check_constraints flags modules of larger dimension than this.
+DIM_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -143,37 +148,11 @@ def factor_labels(f: FactorSpec, d: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(d), f.k))
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """One basis vector of the module: per-factor index tuples plus the
-    aggregated (twist-shifted) digit vector."""
-
-    parts: tuple[tuple[int, ...], ...]
-    pattern: DigitVector
-
-    def text(self) -> str:
-        shown = ["{" + ",".join(str(i + 1) for i in part) + "}" for part in self.parts]
-        return "x".join(shown)
-
-
 def _counts(part: tuple[int, ...], d: int) -> DigitVector:
     c = [0] * d
     for i in part:
         c[i] += 1
     return DigitVector(c)
-
-
-def basis_labels(spec: ModuleSpec) -> list[BasisLabel]:
-    """All labels in Kronecker order: leftmost factor most significant."""
-    per_factor = [factor_labels(f, spec.d) for f in spec.factors]
-    twists = [f.twist for f in spec.factors]
-    out = []
-    for combo in itertools.product(*per_factor):
-        agg = twisted_aggregate(
-            [(_counts(part, spec.d), e) for part, e in zip(combo, twists)], spec.d
-        )
-        out.append(BasisLabel(tuple(combo), agg))
-    return out
 
 
 def aggregated_patterns(spec: ModuleSpec) -> Iterator[DigitVector]:
@@ -184,6 +163,12 @@ def aggregated_patterns(spec: ModuleSpec) -> Iterator[DigitVector]:
         yield twisted_aggregate(
             [(_counts(part, spec.d), e) for part, e in zip(combo, twists)], spec.d
         )
+
+
+def model_spectrum(spec: ModuleSpec, ctx: FieldCtx, omega: int) -> list[tuple[DigitVector, int]]:
+    """The digit model: (c, omega^phi(c)) for every aggregated pattern c, in
+    label order. omega may be any nonzero element of the extension."""
+    return [(c, ctx.ext.pow(omega, phi(c, ctx.q, ctx.d))) for c in aggregated_patterns(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +186,7 @@ class Violations:
     issues: tuple[str, ...]
 
 
-def check_constraints(spec: ModuleSpec, p: int, dim_budget: int = 10**6) -> Ok | Violations:
+def check_constraints(spec: ModuleSpec, p: int) -> Ok | Violations:
     """Diagnostic validity report: degree bound, factor sanity, size budget."""
     issues = []
     K = total_degree(spec)
@@ -213,8 +198,8 @@ def check_constraints(spec: ModuleSpec, p: int, dim_budget: int = 10**6) -> Ok |
         if f.kind == "ext" and f.k > spec.d:
             issues.append(f"ext({f.k}) vanishes for d = {spec.d}")
     w = dim(spec)
-    if w > dim_budget:
-        issues.append(f"module dimension {w} exceeds the budget {dim_budget}")
+    if w > DIM_BUDGET:
+        issues.append(f"module dimension {w} exceeds the budget {DIM_BUDGET}")
     return Violations(tuple(issues)) if issues else Ok()
 
 
@@ -266,7 +251,10 @@ def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _twisted(M: Matrix, q: int, e: int) -> Matrix:
+def twist_matrix(M: Matrix, q: int, e: int) -> Matrix:
+    """M with every entry raised to the power q^e, the e-th q-power
+    Frobenius of M's field. Over F_{q^d} exponents live mod q^d - 1, where
+    q^e = q^(e mod d), so e may be any non-negative integer."""
     if e == 0:
         return M
     F = M.field
@@ -288,7 +276,7 @@ def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
             B = symmetric_power(A, f.k)
         else:
             B = compound_matrix(A, f.k)
-        blocks.append(_twisted(B, spec.q, f.twist))
+        blocks.append(twist_matrix(B, spec.q, f.twist))
     out = Matrix.identity(A.field, 1)
     for B in blocks:
         out = kron(out, B)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digitmap import phi
 from .errors import InvalidInput, NotPrimitive
-from .ffield import FieldCtx, element_order, is_primitive, roots_in_extension
+from .ffield import FieldCtx, is_primitive, roots_in_extension
 from .matfq import Matrix, char_poly, companion_matrix
-from .schur import ModuleSpec, aggregated_patterns, dim, induced_matrix
+from .schur import ModuleSpec, dim, induced_matrix, model_spectrum
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,11 @@ class Mismatch:
 def verify_model_match(s: SingerElement, spec: ModuleSpec) -> Match | Mismatch:
     """Compare the actual eigenvalue multiset against the digit model
     {omega^phi(c)} over all aggregated label patterns."""
-    ctx = s.ctx
     actual: dict[int, int] = {}
     for lam, mult in spectrum_on_module(s, spec):
         actual[lam] = actual.get(lam, 0) + mult
     model: dict[int, int] = {}
-    for c in aggregated_patterns(spec):
-        v = ctx.ext.pow(s.omega, phi(c, ctx.q, ctx.d))
+    for _, v in model_spectrum(spec, s.ctx, s.omega):
         model[v] = model.get(v, 0) + 1
     if actual == model:
         return Match()
@@ -100,12 +97,12 @@ class Simple:
 
 
 @dataclass(frozen=True)
-class Repeated:
+class RepeatedEigenvalue:
     eigenvalue: int
     multiplicity: int
 
 
-def verify_simple_spectrum(s: SingerElement, spec: ModuleSpec) -> Simple | Repeated:
+def verify_simple_spectrum(s: SingerElement, spec: ModuleSpec) -> Simple | RepeatedEigenvalue:
     """Simple iff every eigenvalue has algebraic multiplicity 1.
 
     The spectrum always splits over F_{q^d} and S acts semisimply there, so
@@ -115,10 +112,6 @@ def verify_simple_spectrum(s: SingerElement, spec: ModuleSpec) -> Simple | Repea
     """
     for lam, mult in spectrum_on_module(s, spec):
         if mult > 1:
-            return Repeated(lam, mult)
+            return RepeatedEigenvalue(lam, mult)
     return Simple()
 
-
-def natural_eigenvalues(s: SingerElement) -> list[int]:
-    """The Frobenius orbit of omega, in orbit order."""
-    return [s.ctx.frobenius(s.omega, e) for e in range(s.ctx.d)]

@@ -47,7 +47,7 @@ from singerlab.schur import (
     induced_matrix,
     parse_module_spec,
 )
-from singerlab.singer import Match, Repeated, Simple, make_singer, spectrum_on_module, verify_model_match, verify_simple_spectrum
+from singerlab.singer import Match, RepeatedEigenvalue, Simple, make_singer, spectrum_on_module, verify_model_match, verify_simple_spectrum
 
 
 def test_criterion_01_injectivity_console(capsys):
@@ -164,7 +164,7 @@ def test_criterion_08_model_property_grid():
             assert isinstance(verify_simple_spectrum(s, spec), Simple), spec.text()
             checked += 1
         square = ModuleSpec(d, ctx.q, (FactorSpec("nat"), FactorSpec("nat")))
-        assert isinstance(verify_simple_spectrum(s, square), Repeated)
+        assert isinstance(verify_simple_spectrum(s, square), RepeatedEigenvalue)
     assert checked >= 50
     assert time.perf_counter() - start < 300.0
 

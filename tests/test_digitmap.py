@@ -19,13 +19,12 @@ from singerlab.digitmap import (
     check_injectivity_sumK,
     enumerate_patterns,
     exponent_and_digits,
-    model_eigenvalues,
     phi,
     twisted_aggregate,
 )
-from singerlab.errors import CapacityExceeded, InvalidInput, NotPrimitive
+from singerlab.errors import CapacityExceeded, InvalidInput
 from singerlab.ffield import field_ctx
-from singerlab.schur import parse_module_spec
+from singerlab.schur import aggregated_patterns, model_spectrum, parse_module_spec
 
 
 # -- expansion and the exponent map -------------------------------------------
@@ -143,16 +142,10 @@ def test_model_eigenvalues_match_powers():
     ctx = field_ctx(7, 1, 3)
     spec = parse_module_spec("d=3 q=7 factors=[sym(2)@0]")
     w = ctx.ext.generator
-    model = model_eigenvalues(ctx, spec, w)
+    model = model_spectrum(spec, ctx, w)
     assert len(model) == 6
-    for c, lam in model.items():
+    assert [c for c, _ in model] == list(aggregated_patterns(spec))
+    for c, lam in model:
         assert lam == ctx.ext.pow(w, phi(c, 7, 3))
         E, digits = exponent_and_digits(lam, w, ctx)
         assert digits == base_q_expansion(E, 7, 3)
-
-
-def test_model_eigenvalues_rejects_non_primitive():
-    ctx = field_ctx(7, 1, 3)
-    spec = parse_module_spec("d=3 q=7 factors=[sym(2)@0]")
-    with pytest.raises(NotPrimitive):
-        model_eigenvalues(ctx, spec, 1)

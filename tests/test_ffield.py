@@ -26,6 +26,7 @@ from singerlab.ffield import (
     find_irreducible,
     find_roots,
     is_primitive,
+    nth_roots,
     poly_eval,
     poly_gcd,
     poly_deg,
@@ -134,7 +135,7 @@ def test_embedding_is_field_homomorphism(p, f, d):
 def test_base_image_is_frobenius_fixed():
     ctx = field_ctx(3, 2, 2)
     fixed = [x for x in range(ctx.ext.order) if ctx.frobenius(x, 1) == x]
-    image = [x for x in range(ctx.ext.order) if ctx.in_base_image(x)]
+    image = [ctx.embed(c) for c in range(ctx.q)]
     assert sorted(fixed) == sorted(image)
     assert len(image) == ctx.q
 
@@ -235,6 +236,22 @@ def test_dlog_target_outside_subgroup():
     # 6 has order 2 in F_7; 3 is not a power of it
     with pytest.raises(NotInSubgroup):
         discrete_log(F7, 3, 6)
+
+
+@pytest.mark.parametrize("p,m", [(7, 2), (3, 4)])
+def test_nth_roots_match_brute_force(p, m):
+    """Every r in F_49 and F_81, zero included, for exponents sharing
+    various factors with q - 1, including n = 0 and n = q - 1 (mod q - 1)."""
+    F = Field(p, m)
+    q1 = F.order - 1
+    for n in (0, 1, 2, 3, 5, 8, q1, q1 + 4, 2 * q1 + 6):
+        want = {r: [] for r in range(F.order)}
+        for x in range(1, F.order):
+            want[F.pow(x, n)].append(x)
+        for r in range(F.order):
+            got = nth_roots(F, n, r)
+            assert len(got) == len(set(got))
+            assert sorted(got) == want[r], (n, r)
 
 
 # -- integer factorization ---------------------------------------------------

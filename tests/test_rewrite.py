@@ -1,10 +1,13 @@
 """The rewriting pipeline: sampling, labeling, calibration, verification."""
 
+import hashlib
 import importlib
+import json
 import random
 
 import pytest
 
+from singerlab.cli import result_to_dict
 from singerlab.digitmap import phi
 from singerlab.errors import ConstraintViolation, InvalidInput, UnsupportedFactor
 from singerlab.ffield import factor_poly, field_ctx, find_roots, poly_deg
@@ -346,17 +349,33 @@ def test_round_trip_with_prime_power_base():
     assert_result_is_sound(res, spec, ctx, publics)
 
 
-def test_round_trip_inside_the_torus():
+TORUS = [
+    ("nat", 7, 1, 3, "aed6e410cfad3f7dedda840e5b3dca53b5172f261e03118b6a365bf541f15e9a"),
+    ("sym(2)", 7, 1, 3, "0e7b76d26c76aef9d497335003302bbda689d238f380d188f71025f0f56df04a"),
+    ("sym(2)@1", 7, 1, 3, "9ac7d27aae42b2ae793c2f6720becc4dcff02ac7f5fa950b798be0a2fbd0276d"),
+    ("ext(2)", 7, 1, 4, "b770c9c1f9d41f79596473a18d9b1051c29e2d841fb777467da1962d31ccda40"),
+    ("ext(3)", 7, 1, 4, "3f38c84e0758137dc4e157a9ce2618da3c85a1c9c9d699f99e07ff53c524582b"),
+    ("ext(2)", 3, 2, 4, "491a9d3b6b24d482bb7efe23de4e8a940ef668d2dbaa3e58f27b2dacb0004258"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,p,f,d,digest", TORUS, ids=["nat", "sym2", "sym2tw1", "ext2_q7d4", "ext3_q7d4", "ext2_q9d4"]
+)
+def test_round_trip_inside_the_torus(text, p, f, d, digest):
     """Generators that are powers of the hidden element leave every
-    observation diagonal; the pipeline must still recover preimages."""
-    ctx = CTX73
-    spec = spec_of("sym(2)")
+    observation diagonal; the pipeline must still recover preimages, with
+    the result JSON bytes pinned."""
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=ctx.q, d=d)
     s = make_singer(ctx, 6)
     rng = random.Random(17)
     T = random_invertible(ctx.base, dim(spec), rng)
     publics = [T @ induced_matrix(spec, s.S.pow(a)) @ T.inv() for a in (1, 5)]
     res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=3))
     assert_result_is_sound(res, spec, ctx, publics)
+    blob = json.dumps(result_to_dict(res, p, f), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_rewrite_is_deterministic():

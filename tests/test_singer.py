@@ -17,11 +17,10 @@ from singerlab.schur import induced_matrix, parse_module_spec
 from singerlab.singer import (
     Match,
     Mismatch,
-    Repeated,
+    RepeatedEigenvalue,
     Simple,
     from_primitive,
     make_singer,
-    natural_eigenvalues,
     spectrum_on_module,
     verify_model_match,
     verify_simple_spectrum,
@@ -64,7 +63,7 @@ def test_make_singer_is_seed_deterministic():
 
 def test_natural_eigenvalues_are_the_frobenius_orbit():
     s = make_singer(CTX, 0)
-    orbit = natural_eigenvalues(s)
+    orbit = [CTX.frobenius(s.omega, e) for e in range(CTX.d)]
     assert orbit[0] == s.omega
     assert sorted(orbit) == sorted(lam for lam, _ in roots_in_extension(CTX, char_poly(s.S)))
     assert len(set(orbit)) == 3
@@ -105,7 +104,7 @@ def test_model_match_on_supported_modules():
 def test_tensor_square_has_repeated_eigenvalue():
     s = make_singer(CTX, 1)
     v = verify_simple_spectrum(s, spec_of("nat,nat"))
-    assert isinstance(v, Repeated)
+    assert isinstance(v, RepeatedEigenvalue)
     assert v.multiplicity == 2
     # the model still predicts the multiset correctly
     assert isinstance(verify_model_match(s, spec_of("nat,nat")), Match)

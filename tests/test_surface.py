@@ -1,0 +1,58 @@
+"""Every top-level public function and class in src/singerlab has a caller.
+
+A name counts as referenced when some module under src/, scripts/ or
+perfbench/ loads it (as a bare name or as an attribute) or lists it in
+__all__. Imports and the definition itself do not count, so a helper that
+only the tests call fails here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "singerlab"
+
+# Kept without a caller in the program, with the reason.
+ALLOWED = {
+    "poly_eval": "the tests evaluate polynomials at found roots as an independent check",
+}
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced() -> set[str]:
+    names = set()
+    for _, tree in _trees("src", "scripts", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _public_definitions():
+    for path, tree in _trees("src/singerlab"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def test_every_public_definition_is_referenced():
+    used = _referenced()
+    unused = sorted(q for q, name in _public_definitions() if name not in used and name not in ALLOWED)
+    assert unused == []
+
+
+def test_allowlist_is_not_stale():
+    defined = {name for _, name in _public_definitions()}
+    assert set(ALLOWED) <= defined
+    assert not set(ALLOWED) & _referenced()
