@@ -635,6 +635,8 @@ class FieldCtx:
         self.ext = Field(p, f * d)
         self._embed_table = self._build_embedding()
         self._embed_inverse = {v: k for k, v in self._embed_table.items()}
+        self._embed_codes = np.array([self._embed_table[c] for c in range(self.q)], dtype=np.int64)
+        self._embed_codes.flags.writeable = False
 
     def _build_embedding(self) -> dict[int, int]:
         if self.f == 1:
@@ -658,6 +660,10 @@ class FieldCtx:
     def embed(self, a: int) -> int:
         """Ring embedding F_q -> F_{q^d} on codes."""
         return self._embed_table[a]
+
+    def embed_array(self, a: np.ndarray) -> np.ndarray:
+        """embed on every entry of an int64 array of base codes, by one table lookup."""
+        return self._embed_codes[a]
 
     def unembed(self, a: int) -> int:
         """Inverse of embed on its image; raises if a is not in the image."""

@@ -5,16 +5,19 @@ secret d x d generators through the induced functor and conjugating by a
 secret change of basis T. The oracle keeps the secrets so tests and demos
 can check a solver's output against ground truth, and oracle_check can
 certify that a (possibly edited) instance still is what it claims to be:
-some scalars nu_x and one invertible intertwiner, unique up to scale, with
+some scalars nu_x and an invertible intertwiner T with
 public_x = nu_x * T @ induced(A_x) @ T^{-1}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +34,9 @@ from .schur import (
 from .singer import make_singer
 
 SCALAR_COMBO_CAP = 256
+# Candidates tried per intertwiner space: its basis vectors, then sums of
+# two or more of them.
+INTERTWINER_TRY_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,24 @@ def tamper(inst: PlantedInstance, seed: int = 0) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 
 
+def _intertwiner_candidates(ker: list[list[int]], base, n: int) -> Iterator[Matrix]:
+    """The basis vectors of an intertwiner space as n x n matrices, then the
+    sums of two or more of them in lexicographic order of their index sets,
+    up to a cap."""
+    mats = [Matrix(base, np.array(v, dtype=np.int64).reshape(n, n)) for v in ker]
+    subsets = itertools.chain.from_iterable(itertools.combinations(mats, r) for r in range(1, len(mats) + 1))
+    for S in itertools.islice(subsets, INTERTWINER_TRY_CAP):
+        yield functools.reduce(operator.add, S)
+
+
 def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     """Certify the instance against its oracle. Scalars are pinned by
     nu^dim(W) matching the determinant ratio; for each combination (up to a
     cap) the intertwiner equations public @ T = nu * T @ induced(A) are
-    stacked and must leave exactly a line of solutions, spanned by an
-    invertible matrix."""
+    stacked, and any invertible solution certifies the instance. The
+    solution space may have dimension above 1 (the secrets' images can have
+    a larger commutant), so its basis vectors and then their sums are tried,
+    up to a cap, and the first invertible one is accepted."""
     if inst.oracle is None:
         return Inconsistent("instance carries no oracle data")
     if len(inst.oracle.A) != len(inst.generators):
@@ -151,12 +169,9 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
         for nu, M, G in zip(combo, inst.generators, images):
             blocks.append((kron(M, eye) - kron(eye, G.transpose()).scale(nu)).a)
         ker = kernel_basis(Matrix(base, np.vstack(blocks)))
-        if len(ker) != 1:
-            continue
-        T = Matrix.from_rows(base, [ker[0][i * n : (i + 1) * n] for i in range(n)])
-        if T.is_invertible():
+        if any(T.is_invertible() for T in _intertwiner_candidates(ker, base, n)):
             return Consistent(combo)
-    return Inconsistent("no scalar combination admits a unique invertible intertwiner")
+    return Inconsistent("no scalar combination admits an invertible intertwiner")
 
 
 # ---------------------------------------------------------------------------

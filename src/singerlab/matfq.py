@@ -28,6 +28,12 @@ from .ffield import DensePoly, Field, FieldCtx, poly_trim
 # ---------------------------------------------------------------------------
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False  # cached: shared by every caller
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _tables(F: Field) -> tuple[np.ndarray, np.ndarray]:
     """Digit weights p^i, and the reduction matrix: column i*m + j is x^(i+j)."""
@@ -40,8 +46,7 @@ def _tables(F: Field) -> tuple[np.ndarray, np.ndarray]:
         v = [(c - top * f) % p for c, f in zip([0] + v[:-1], F.modulus)]
     red = np.array([powers[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
     w = np.array([p**i for i in range(m)], dtype=np.int64)
-    w.flags.writeable = red.flags.writeable = False  # cached: shared by every caller
-    return w, red
+    return _frozen(w, red)
 
 
 def _dtype(F: Field, inner: int = 1):
@@ -63,6 +68,8 @@ def _join(F: Field, D: np.ndarray) -> np.ndarray:
 
 def _fold(F: Field, P: np.ndarray) -> np.ndarray:
     """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), to digits."""
+    if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
+        return P[0] % F.p
     flat = (P % F.p).reshape(F.m * F.m, -1)
     return (_tables(F)[1] @ flat % F.p).reshape(P.shape[1:])
 
@@ -266,6 +273,21 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(A.field, _join(A.field, D).reshape(ra * rb, ca * cb))
 
 
+@lru_cache(maxsize=None)
+def _compound_plan(r: int, c: int, s: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that expand the (s-1)-minors of an r x c matrix into its
+    s-minors along the first row: for row subset R and column subset C, term
+    j pairs A[R[0], C[j]] with the minor (R[1:], C without C[j])."""
+    rows, cols = list(combinations(range(r), s)), list(combinations(range(c), s))
+    prev_r = {S: i for i, S in enumerate(combinations(range(r), s - 1))}
+    prev_c = {S: i for i, S in enumerate(combinations(range(c), s - 1))}
+    first = np.array([R[0] for R in rows], dtype=np.intp)[:, None, None]
+    rest = np.array([prev_r[R[1:]] for R in rows], dtype=np.intp)[:, None, None]
+    at = np.array(cols, dtype=np.intp).reshape(1, -1, s)
+    drop = np.array([[prev_c[C[:j] + C[j + 1 :]] for j in range(s)] for C in cols], dtype=np.intp)
+    return _frozen(first, rest, at, drop.reshape(1, -1, s))
+
+
 def compound_matrix(A: Matrix, k: int) -> Matrix:
     """The k-th compound: entry (R, C) is det A[R, C], for row and column
     k-subsets in lexicographic order. Minors of size s come from those of
@@ -275,15 +297,9 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
     r, c = A.shape
     X = M = A._digits(k)  # M: the minors of the current size, 1 x 1 first
     for s in range(2, k + 1):
-        rows, cols = list(combinations(range(r), s)), list(combinations(range(c), s))
-        prev_r = {S: i for i, S in enumerate(combinations(range(r), s - 1))}
-        prev_c = {S: i for i, S in enumerate(combinations(range(c), s - 1))}
-        first = np.array([R[0] for R in rows], dtype=np.intp)[:, None, None]
-        rest = np.array([prev_r[R[1:]] for R in rows], dtype=np.intp)[:, None, None]
-        at = np.array(cols, dtype=np.intp).reshape(1, -1, s)
-        drop = np.array([[prev_c[C[:j] + C[j + 1 :]] for j in range(s)] for C in cols], dtype=np.intp)
+        first, rest, at, drop = _compound_plan(r, c, s)
         # term j: A[R[0], C[j]] * (-1)^j * minor(R[1:], C without C[j])
-        head, tail = X[:, first, at], M[:, rest, drop.reshape(1, -1, s)]
+        head, tail = X[:, first, at], M[:, rest, drop]
         tail[..., 1::2] = -tail[..., 1::2] % F.p
         M = _fold(F, (head[:, None] * tail[None]).sum(-1))
     return Matrix(F, _join(F, M))
@@ -292,6 +308,27 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
 def _multisets(n: int, s: int) -> list[tuple[int, ...]]:
     """The s-multisets of range(n) as count vectors, in lexicographic order."""
     return [tuple(S.count(i) for i in range(n)) for S in combinations_with_replacement(range(n), s)]
+
+
+@lru_cache(maxsize=None)
+def _sym_plan(r: int, c: int, s: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that build the size-s coefficients of an r x c symmetric
+    power from the size-(s-1) ones: drop[i, N] indexes N - e_i among the row
+    multisets (the appended zero row when N_i = 0), and column M splits into
+    its last symbol and the index of M[:-1]."""
+    prev = {N: j for j, N in enumerate(_multisets(r, s - 1))}
+    drop = [[prev.get(N[:i] + (N[i] - 1,) + N[i + 1 :], len(prev)) for N in _multisets(r, s)] for i in range(r)]
+    prev_c = {M: j for j, M in enumerate(combinations_with_replacement(range(c), s - 1))}
+    last, rest = np.array([(M[-1], prev_c[M[:-1]]) for M in combinations_with_replacement(range(c), s)]).T
+    return _frozen(np.array(drop, dtype=np.intp)[:, :, None], last, rest)
+
+
+@lru_cache(maxsize=None)
+def _sym_ratio(r: int, c: int, k: int, p: int) -> np.ndarray:
+    """mult(M) / mult(N) mod p for row multiset N and column multiset M."""
+    mult = {n: [factorial(k) // prod(map(factorial, N)) % p for N in _multisets(n, k)] for n in (r, c)}
+    ratio = np.array([[b * pow(a, -1, p) % p for b in mult[c]] for a in mult[r]], dtype=np.int64)
+    return _frozen(ratio)[0]
 
 
 def symmetric_power(A: Matrix, k: int) -> Matrix:
@@ -308,17 +345,10 @@ def symmetric_power(A: Matrix, k: int) -> Matrix:
     r, c = A.shape
     X = Q = A._digits(r)
     for s in range(2, k + 1):
-        # rows as count vectors: N - e_i has a -1, so no index, when N_i = 0
-        prev = {N: j for j, N in enumerate(_multisets(r, s - 1))}
-        drop = [[prev.get(N[:i] + (N[i] - 1,) + N[i + 1 :], len(prev)) for N in _multisets(r, s)] for i in range(r)]
-        # columns as sorted tuples: M = M[:-1] + (M_last,)
-        prev_c = {M: j for j, M in enumerate(combinations_with_replacement(range(c), s - 1))}
-        last, rest = np.array([(M[-1], prev_c[M[:-1]]) for M in combinations_with_replacement(range(c), s)]).T
+        drop, last, rest = _sym_plan(r, c, s)
         Qz = np.concatenate([Q, 0 * Q[:, :1]], axis=1)
-        Q = _fold(F, (X[:, None, :, None, last] * Qz[None, :, np.array(drop)[:, :, None], rest]).sum(2))
-    mult = {n: [factorial(k) // prod(map(factorial, N)) % F.p for N in _multisets(n, k)] for n in (r, c)}
-    ratio = np.array([[b * pow(a, -1, F.p) % F.p for b in mult[c]] for a in mult[r]], dtype=Q.dtype)
-    return Matrix(F, _join(F, Q * ratio % F.p))
+        Q = _fold(F, (X[:, None, :, None, last] * Qz[None, :, drop, rest]).sum(2))
+    return Matrix(F, _join(F, Q * _sym_ratio(r, c, k, F.p).astype(Q.dtype, copy=False) % F.p))
 
 
 def word_products(gens: list[Matrix], words) -> list[Matrix]:
@@ -426,9 +456,7 @@ def embed_matrix(ctx: FieldCtx, A: Matrix) -> Matrix:
     """Push a matrix over F_q into F_{q^d} through the tower embedding."""
     if A.field != ctx.base:
         raise FieldMismatch("matrix is not over the tower's base field")
-    if ctx.f == 1:
-        return Matrix(ctx.ext, A.a.copy())
-    return Matrix(ctx.ext, A.a.copy()).map_entries(ctx.embed)
+    return Matrix(ctx.ext, ctx.embed_array(A.a))
 
 
 def random_invertible(F: Field, n: int, rng) -> Matrix:

@@ -128,18 +128,22 @@ class ElementSampler:
 
     Keeps a pool of at least five slots plus an accumulator; each draw
     replaces one slot with its product by another slot (or its inverse) on
-    a random side and advances the accumulator through it.
+    a random side and advances the accumulator through it. Every slot
+    carries its inverse, updated by one product per step, so a step never
+    inverts a matrix.
     """
 
     def __init__(self, generators: list[Matrix], rng: random.Random):
         if not generators:
             raise InvalidInput("need at least one generator to sample from")
-        slots = [g.copy() for g in generators]
+        inverses = [g.inv() for g in generators]
+        slots, invs = [g.copy() for g in generators], list(inverses)
         i = 0
         while len(slots) < 5:
             slots.append(generators[i % len(generators)].copy())
+            invs.append(inverses[i % len(generators)])
             i += 1
-        self._slots = slots
+        self._slots, self._invs = slots, invs
         self._acc = Matrix.identity(generators[0].field, generators[0].shape[0])
         self._rng = rng
         for _ in range(SAMPLER_WARMUP):
@@ -152,13 +156,15 @@ class ElementSampler:
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        other = self._slots[j]
+        other, other_inv = self._slots[j], self._invs[j]
         if rng.random() < 0.5:
-            other = other.inv()
+            other, other_inv = other_inv, other
         if rng.random() < 0.5:
             self._slots[i] = self._slots[i] @ other
+            self._invs[i] = other_inv @ self._invs[i]
         else:
             self._slots[i] = other @ self._slots[i]
+            self._invs[i] = self._invs[i] @ other_inv
         self._acc = self._acc @ self._slots[i]
 
     def draw(self) -> Matrix:
@@ -603,13 +609,19 @@ def verify_projective(
     C @ public @ C^{-1} for every generator, then for sampled words, whose
     products must stay proportional because both sides multiply.
 
-    All words are drawn before any is multiplied, and the model side of a
-    word is the product of the per-generator models C E_i C^{-1} (exact,
-    since C^{-1} C = I). Once every generator check holds with scalar mu_i,
-    a word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
-    so a word check fails only if induced_matrix is not multiplicative:
-    the one path on which drawing every word up front leaves rng in another
-    state than stopping at the failing word would."""
+    All words are drawn before any is multiplied. Once every generator
+    check holds with scalar mu_i, a word w has induced(A_w) = prod
+    induced(A_i) = prod mu_i * C E_w C^{-1}, so a word check fails only if
+    induced_matrix is not multiplicative: the one path on which drawing
+    every word up front leaves rng in another state than stopping at the
+    failing word would.
+
+    The word checks never form C E_w C^{-1}. The generator checks have
+    inverted C, so C is invertible, and then induced(A_w) = mu * C E_w C^{-1}
+    holds exactly when induced(A_w) @ C = mu * C @ E_w, with the same mu:
+    right-multiplying by an invertible matrix keeps proportionality and
+    its scalar. So E_w is multiplied over F_q, embedded once, and both
+    sides take one product with C over F_{q^d}."""
     if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
     if len(publics) != len(preimages):
@@ -618,18 +630,22 @@ def verify_projective(
         cinv = C.inv()
     except SingularMatrix:
         return Refuted("frame is not invertible")
-    epubs = [embed_matrix(ctx, g) for g in publics]
-    mus, models = [], []
-    for i, (E, A) in enumerate(zip(epubs, preimages)):
-        models.append(C @ E @ cinv)
-        mu = _proportional(induced_matrix(spec, A), models[-1])
+    mus = []
+    for i, (g, A) in enumerate(zip(publics, preimages)):
+        mu = _proportional(induced_matrix(spec, A), C @ embed_matrix(ctx, g) @ cinv)
         if mu is None:
             return Refuted(f"generator {i} image is not proportional to its model")
         mus.append(mu)
-    seqs = _draw_words(rng or random.Random(1), len(epubs), VERIFICATION_WORDS)
-    pairs = zip(word_products(preimages, seqs), word_products(models, seqs))
-    for t, (AW, MW) in enumerate(pairs):
-        if _proportional(induced_matrix(spec, AW), MW) is None:
+    seqs = _draw_words(rng or random.Random(1), len(publics), VERIFICATION_WORDS)
+    images = [induced_matrix(spec, AW) for AW in word_products(preimages, seqs)]
+    models = ctx.embed_array(np.stack([EW.a for EW in word_products(publics, seqs)]))
+    # letters: 0 is C, 1 + t the t-th word's matrix, so [1 + t, 0] gives
+    # X_t @ C and [0, 1 + t] gives C @ X_t; two batches, not one twice the
+    # size, halve the peak memory of the products
+    left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
+    right = word_products([C, *(Matrix(ctx.ext, a) for a in models)], [[0, 1 + t] for t in range(len(seqs))])
+    for t, (L, R) in enumerate(zip(left, right)):
+        if _proportional(L, R) is None:
             return Refuted(f"word check {t} failed")
     return Verified(tuple(mus))
 

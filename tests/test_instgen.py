@@ -58,6 +58,19 @@ def test_oracle_check_catches_tampering():
     assert isinstance(oracle_check(bad), Inconsistent)
 
 
+def test_oracle_check_accepts_an_intertwiner_space_of_dimension_two():
+    """For this unplanted ext(2) instance the scalars (1, 1) leave a
+    2-dimensional intertwiner space, and every other scalar pair none; the
+    instance is honest, so an invertible element of that space certifies it.
+    Tampering still refutes."""
+    ctx = field_ctx(3, 2, 4)
+    spec = parse_module_spec("d=4 q=9 factors=[ext(2)@0]")
+    inst = gen_instance(ctx, spec, 2, seed=329773420, plant_singer=False)
+    assert oracle_check(inst) == Consistent((1, 1))
+    for seed in range(3):
+        assert isinstance(oracle_check(tamper(inst, seed=seed)), Inconsistent)
+
+
 def test_tamper_preserves_invertibility():
     inst = gen_instance(CTX, SPEC, 2, seed=8)
     bad = tamper(inst, seed=1)

@@ -347,6 +347,19 @@ def test_symmetric_power_is_multiplicative():
         assert symmetric_power(A @ B, k) == symmetric_power(A, k) @ symmetric_power(B, k)
 
 
+@pytest.mark.parametrize("functor", [compound_matrix, symmetric_power], ids=["compound", "sym"])
+def test_functor_results_do_not_share_cached_index_plans(functor):
+    """Index plans are cached per shape; writing into one call's result must
+    leave later calls unchanged."""
+    F = Field(5, 2)
+    A, B = rand_matrix(F, 4, 5), rand_matrix(F, 4, 6)
+    for k in (2, 3):
+        first, want_b = functor(A, k), functor(B, k)
+        want_a = first.copy()
+        first.a[...] = 0
+        assert functor(A, k) == want_a and functor(B, k) == want_b
+
+
 @pytest.mark.parametrize("F", [F7, F17_4, F61], ids=["F7", "F17^4", "F2^61-1"])
 def test_word_products_match_sequential_chains(F):
     gens = [rand_matrix(F, 4, seed) for seed in range(3)]

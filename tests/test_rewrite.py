@@ -4,22 +4,26 @@ import hashlib
 import importlib
 import json
 import random
+from functools import reduce
 
 import pytest
 
 from singerlab.cli import result_to_dict
 from singerlab.digitmap import phi
-from singerlab.errors import ConstraintViolation, InvalidInput, UnsupportedFactor
+from singerlab.errors import ConstraintViolation, InvalidInput, SingularMatrix, UnsupportedFactor
 from singerlab.ffield import factor_poly, field_ctx, find_roots, poly_deg
-from singerlab.instgen import gen_instance
+from singerlab.instgen import gen_instance, tamper
 from singerlab.matfq import Matrix, char_poly, embed_matrix, random_invertible
 from singerlab.rewrite import (
+    VERIFICATION_WORDS,
     ElementSampler,
     Failure,
     Refuted,
     RewriteConfig,
     RewriteResult,
     Verified,
+    _draw_words,
+    _proportional,
     build_eigenbasis,
     reconstruct_generator,
     recover_omega,
@@ -298,6 +302,68 @@ def test_verify_word_check_catches_a_non_multiplicative_functor(monkeypatch):
     monkeypatch.setattr(rw, "induced_matrix", broken)
     v = verify_projective(spec, CTX73, publics, frame, pre)
     assert isinstance(v, Refuted) and v.detail == "word check 0 failed"
+
+
+def _reference_verify(spec, ctx, publics, C, preimages, rng, induced):
+    """verify_projective with every model word formed over F_{q^d} as the
+    product of the models C E_i C^{-1}, and each word image compared to it."""
+    try:
+        cinv = C.inv()
+    except SingularMatrix:
+        return Refuted("frame is not invertible")
+    models = [C @ embed_matrix(ctx, g) @ cinv for g in publics]
+    mus = []
+    for i, (M, A) in enumerate(zip(models, preimages)):
+        mu = _proportional(induced(spec, A), M)
+        if mu is None:
+            return Refuted(f"generator {i} image is not proportional to its model")
+        mus.append(mu)
+    for t, w in enumerate(_draw_words(rng, len(publics), VERIFICATION_WORDS)):
+        AW = reduce(lambda m, i: m @ preimages[i], w, Matrix.identity(ctx.ext, ctx.d))
+        MW = reduce(lambda m, i: m @ models[i], w, Matrix.identity(ctx.ext, dim(spec)))
+        if _proportional(induced(spec, AW), MW) is None:
+            return Refuted(f"word check {t} failed")
+    return Verified(tuple(mus))
+
+
+@pytest.mark.parametrize("p,f,d,text", [(7, 1, 3, "sym(2)"), (3, 2, 4, "ext(2)")])
+def test_verify_word_check_matches_the_explicit_model_words(monkeypatch, p, f, d, text):
+    """Multiplying model words over F_q and comparing induced(A_w) @ C with
+    C @ E_w gives the verdicts and details of forming C E_w C^{-1} over
+    F_{q^d}: on planted, tampered and word-only-broken inputs."""
+    rw = importlib.import_module("singerlab.rewrite")
+    ctx = field_ctx(p, f, d)
+    spec = parse_module_spec(text, q=ctx.q, d=d)
+    inst = gen_instance(ctx, spec, 2, seed=4)
+    frame = embed_matrix(ctx, inst.oracle.T).inv()
+    pre = [embed_matrix(ctx, a) for a in inst.oracle.A]
+    bad_pre = [pre[0].scale(2) @ pre[1], pre[1]]
+    bad_frame = frame.copy()
+    bad_frame.a[0, 0] = ctx.ext.add(int(bad_frame.a[0, 0]), 1)
+    publics = list(inst.generators)
+    cases = [(publics, frame, pre)] * 3 + [
+        (list(tamper(inst, seed=1).generators), frame, pre),
+        (publics, frame, bad_pre),
+        (publics, bad_frame, pre),
+    ]
+
+    def word_only_broken(spec_, A):
+        out = induced_matrix(spec_, A)
+        if not any(A == g for g in pre) and int(A.a.sum()) % 5 == 0:
+            out.a[-1, 0] = ctx.ext.add(int(out.a[-1, 0]), 1)
+        return out
+
+    details = set()
+    for functor in (induced_matrix, word_only_broken):
+        monkeypatch.setattr(rw, "induced_matrix", functor)
+        for k, (gens, C, A) in enumerate(cases):
+            got = verify_projective(spec, ctx, gens, C, A, rng=random.Random(k))
+            want = _reference_verify(spec, ctx, gens, C, A, random.Random(k), functor)
+            assert got == want
+            details.add(getattr(got, "detail", "verified"))
+    assert "verified" in details
+    assert any(x.startswith("generator") for x in details)
+    assert any(x.startswith("word check") and x != "word check 0 failed" for x in details)
 
 
 def test_verify_rejects_count_mismatch():
