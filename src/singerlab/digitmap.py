@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityExceeded, InvalidInput
 from .ffield import FieldCtx, discrete_log
@@ -84,13 +84,20 @@ def check_injectivity(
         raise CapacityExceeded(
             f"{total} vectors exceed the exhaustive budget; use the sum-K variant"
         )
+    return _first_collision(itertools.product(range(C + 1), repeat=d), q, d)
+
+
+def _first_collision(vectors: Iterable[tuple[int, ...]], q: int, d: int) -> Injective | Collision:
+    """The first vector whose residue an earlier one already took, with that
+    earlier one, or Injective with the number scanned. Vectors are kept as
+    given; only a returned pair is wrapped in DigitVector."""
     seen: dict[int, tuple[int, ...]] = {}
-    for vec in itertools.product(range(C + 1), repeat=d):
+    for vec in vectors:
         r = phi(vec, q, d)
         if r in seen:
             return Collision(DigitVector(seen[r]), DigitVector(vec), r)
         seen[r] = vec
-    return Injective(total)
+    return Injective(len(seen))
 
 
 def enumerate_patterns(d: int, K: int) -> Iterator[DigitVector]:
@@ -116,15 +123,7 @@ def check_injectivity_sumK(q: int, d: int, K: int) -> Injective | Collision:
 
     Streams the compositions, so only the residue set is held in memory.
     """
-    seen: dict[int, DigitVector] = {}
-    count = 0
-    for vec in enumerate_patterns(d, K):
-        r = phi(vec, q, d)
-        if r in seen:
-            return Collision(seen[r], vec, r)
-        seen[r] = vec
-        count += 1
-    return Injective(count)
+    return _first_collision(enumerate_patterns(d, K), q, d)
 
 
 def twisted_aggregate(parts: list[tuple[DigitVector, int]], d: int) -> DigitVector:

@@ -633,33 +633,33 @@ class FieldCtx:
         self.q = p**f
         self.base = Field(p, f)
         self.ext = Field(p, f * d)
-        self._embed_table = self._build_embedding()
-        self._embed_inverse = {v: k for k, v in self._embed_table.items()}
-        self._embed_codes = np.array([self._embed_table[c] for c in range(self.q)], dtype=np.int64)
+        self._embed_codes = np.array(self._build_embedding(), dtype=np.int64)
         self._embed_codes.flags.writeable = False
+        self._embed_inverse = {int(v): c for c, v in enumerate(self._embed_codes)}
 
-    def _build_embedding(self) -> dict[int, int]:
+    def _build_embedding(self) -> list[int]:
+        """The image of every base code, in code order."""
         if self.f == 1:
-            return {c: c for c in range(self.p)}
+            return list(range(self.p))
         # base modulus has F_p coefficients, which are valid ext codes as-is
         g_in_ext: DensePoly = self.base.modulus
         roots = [r for r, _ in find_roots(self.ext, g_in_ext)]
         if not roots:
             raise AssertionError("base modulus has no root in ext; tower is broken")
         r = min(roots, key=self.ext.decode)
-        table = {}
+        table = []
         for code in range(self.base.order):
             acc, xpow = 0, 1
             for c in self.base.decode(code):
                 if c:
                     acc = self.ext.add(acc, self.ext.mul(c, xpow))
                 xpow = self.ext.mul(xpow, r)
-            table[code] = acc
+            table.append(acc)
         return table
 
     def embed(self, a: int) -> int:
         """Ring embedding F_q -> F_{q^d} on codes."""
-        return self._embed_table[a]
+        return int(self._embed_codes[a])
 
     def embed_array(self, a: np.ndarray) -> np.ndarray:
         """embed on every entry of an int64 array of base codes, by one table lookup."""

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digitmap import DigitVector, phi
-from .errors import InvalidInput, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, element_order, factorint, nth_roots, poly_deriv, poly_gcd, roots_in_extension
+from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
+from .ffield import FieldCtx, factorint, is_primitive, nth_roots, poly_deriv, poly_gcd, roots_in_extension
 from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis, symmetric_power, word_products
 from .schur import (
     FactorSpec,
@@ -202,7 +202,7 @@ def recover_omega(
         if stats is not None:
             stats.dlog_calls += 1
         for rho in nth_roots(ext, e0, lam):
-            if element_order(ext, rho) != n1:
+            if not is_primitive(ext, rho):
                 continue
             labeling = {v: c for c, v in model_spectrum(spec, ctx, rho)}
             if sorted(labeling) == want:
@@ -282,14 +282,6 @@ def find_singer_candidate(
 # ---------------------------------------------------------------------------
 
 
-def _normalize_vec(F, v: list[int]) -> list[int]:
-    for x in v:
-        if x:
-            s = F.inv(x)
-            return [F.mul(s, y) for y in v]
-    raise _Degenerate("zero vector where an eigenrow was expected")
-
-
 def _diag(F, values: list[int]) -> Matrix:
     m = Matrix.zeros(F, len(values), len(values))
     for i, v in enumerate(values):
@@ -312,7 +304,7 @@ def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: in
         ker = kernel_basis(wt - eye.scale(lam))
         if len(ker) != 1:
             raise _Degenerate("eigenspace dimension is not one")
-        rows.append(_normalize_vec(ext, ker[0]))
+        rows.append(_normalize_first(Matrix.from_rows(ext, ker)).tolist()[0])
         lams.append(lam)
     C0 = Matrix.from_rows(ext, rows)
     if C0 @ W != _diag(ext, lams) @ C0:
@@ -605,48 +597,51 @@ def verify_projective(
     preimages: tuple[Matrix, ...] | list[Matrix],
     rng: random.Random | None = None,
 ) -> Verified | Refuted:
-    """Exact acceptance check: induced(spec, preimage) proportional to
-    C @ public @ C^{-1} for every generator, then for sampled words, whose
-    products must stay proportional because both sides multiply.
+    """Exact acceptance check: for every generator, then for sampled words,
+    induced(A_w) @ C == mu * C @ E_w for some scalar mu, where A_w and E_w
+    are the word's products of preimages and of public matrices. With C
+    invertible this is induced(A_w) == mu * C @ E_w @ C^{-1}, the same mu,
+    and is never formed that way: right-multiplying by C keeps
+    proportionality and its scalar. A generator is the one-letter word.
 
-    All words are drawn before any is multiplied. Once every generator
-    check holds with scalar mu_i, a word w has induced(A_w) = prod
-    induced(A_i) = prod mu_i * C E_w C^{-1}, so a word check fails only if
-    induced_matrix is not multiplicative: the one path on which drawing
-    every word up front leaves rng in another state than stopping at the
-    failing word would.
-
-    The word checks never form C E_w C^{-1}. The generator checks have
-    inverted C, so C is invertible, and then induced(A_w) = mu * C E_w C^{-1}
-    holds exactly when induced(A_w) @ C = mu * C @ E_w, with the same mu:
-    right-multiplying by an invertible matrix keeps proportionality and
-    its scalar. So E_w is multiplied over F_q, embedded once, and both
-    sides take one product with C over F_{q^d}."""
+    Words are drawn only after every generator passes, so a refuted
+    generator leaves rng where it was. Once every generator holds with scalar mu_i, a
+    word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
+    so a word check fails only if induced_matrix is not multiplicative."""
     if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
     if len(publics) != len(preimages):
         return Refuted("generator and preimage counts differ")
+    if not publics:
+        raise InvalidInput("need at least one generator image")
     try:
-        cinv = C.inv()
+        C.inv()
     except SingularMatrix:
         return Refuted("frame is not invertible")
-    mus = []
-    for i, (g, A) in enumerate(zip(publics, preimages)):
-        mu = _proportional(induced_matrix(spec, A), C @ embed_matrix(ctx, g) @ cinv)
-        if mu is None:
-            return Refuted(f"generator {i} image is not proportional to its model")
-        mus.append(mu)
-    seqs = _draw_words(rng or random.Random(1), len(publics), VERIFICATION_WORDS)
-    images = [induced_matrix(spec, AW) for AW in word_products(preimages, seqs)]
-    models = ctx.embed_array(np.stack([EW.a for EW in word_products(publics, seqs)]))
-    # letters: 0 is C, 1 + t the t-th word's matrix, so [1 + t, 0] gives
-    # X_t @ C and [0, 1 + t] gives C @ X_t; two batches, not one twice the
-    # size, halve the peak memory of the products
-    left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
-    right = word_products([C, *(Matrix(ctx.ext, a) for a in models)], [[0, 1 + t] for t in range(len(seqs))])
-    for t, (L, R) in enumerate(zip(left, right)):
-        if _proportional(L, R) is None:
-            return Refuted(f"word check {t} failed")
+    n = dim(spec)
+    for g, A in zip(publics, preimages):
+        if g.field != ctx.base:
+            raise FieldMismatch("generator images must be over the base field")
+        if (C.shape, g.shape, A.shape) != ((n, n), (n, n), (ctx.d, ctx.d)):
+            raise ShapeMismatch(f"frame {C.shape}, generator {g.shape}, preimage {A.shape} do not fit {spec.text()}")
+
+    def scalars(seqs: list[list[int]]) -> list[int | None]:
+        """Per word w, the mu with induced(A_w) @ C == mu * C @ E_w, or None."""
+        images = [induced_matrix(spec, AW) for AW in word_products(preimages, seqs)]
+        models = ctx.embed_array(np.stack([EW.a for EW in word_products(publics, seqs)]))
+        # letters: 0 is C, 1 + t the t-th word's matrix, so [1 + t, 0] gives
+        # X_t @ C and [0, 1 + t] gives C @ X_t; two batches, not one twice the
+        # size, halve the peak memory of the products
+        left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
+        right = word_products([C, *(Matrix(ctx.ext, a) for a in models)], [[0, 1 + t] for t in range(len(seqs))])
+        return [_proportional(L, R) for L, R in zip(left, right)]
+
+    mus = scalars([[i] for i in range(len(publics))])
+    if None in mus:
+        return Refuted(f"generator {mus.index(None)} image is not proportional to its model")
+    words = scalars(_draw_words(rng or random.Random(1), len(publics), VERIFICATION_WORDS))
+    if None in words:
+        return Refuted(f"word check {words.index(None)} failed")
     return Verified(tuple(mus))
 
 

@@ -24,7 +24,8 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from math import comb, prod
 from typing import Iterator
 
 from .digitmap import DigitVector, phi, twisted_aggregate
@@ -53,10 +54,6 @@ class FactorSpec:
             raise InvalidInput("natural factors have no power parameter")
         if self.k < 1 or self.twist < 0:
             raise InvalidInput("factor power must be >= 1 and twist >= 0")
-
-    @property
-    def degree(self) -> int:
-        return self.k
 
     def text(self) -> str:
         body = "nat" if self.kind == "nat" else f"{self.kind}({self.k})"
@@ -124,19 +121,12 @@ def factor_dim(f: FactorSpec, d: int) -> int:
     return comb(d, f.k)
 
 
-def dim(spec: ModuleSpec | FactorSpec, d: int | None = None) -> int:
-    if isinstance(spec, FactorSpec):
-        if d is None:
-            raise InvalidInput("factor dimension needs d")
-        return factor_dim(spec, d)
-    out = 1
-    for f in spec.factors:
-        out *= factor_dim(f, spec.d)
-    return out
+def dim(spec: ModuleSpec) -> int:
+    return prod(factor_dim(f, spec.d) for f in spec.factors)
 
 
 def total_degree(spec: ModuleSpec) -> int:
-    return sum(f.degree for f in spec.factors)
+    return sum(f.k for f in spec.factors)
 
 
 def factor_labels(f: FactorSpec, d: int) -> list[tuple[int, ...]]:
@@ -219,15 +209,9 @@ def check_multiplicity_free(spec: ModuleSpec) -> MultiplicityFree | Repeated:
 
     The witness returned is the first repeated pattern in label order.
     """
-    seen: Counter = Counter()
-    order: list[DigitVector] = []
-    for c in aggregated_patterns(spec):
-        if c not in seen:
-            order.append(c)
-        seen[c] += 1
-    for c in order:
-        if seen[c] > 1:
-            return Repeated(c, seen[c])
+    for c, count in Counter(aggregated_patterns(spec)).items():  # keys in first-occurrence order
+        if count > 1:
+            return Repeated(c, count)
     return MultiplicityFree()
 
 
@@ -271,13 +255,10 @@ def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
     blocks = []
     for f in spec.factors:
         if f.kind == "nat":
-            B = A
+            B = A.copy()  # the result never aliases A, even for a lone nat@0
         elif f.kind == "sym":
             B = symmetric_power(A, f.k)
         else:
             B = compound_matrix(A, f.k)
         blocks.append(twist_matrix(B, spec.q, f.twist))
-    out = Matrix.identity(A.field, 1)
-    for B in blocks:
-        out = kron(out, B)
-    return out
+    return reduce(kron, blocks) if blocks else Matrix.identity(A.field, 1)

@@ -1,6 +1,7 @@
 """Exit codes, output determinism, and file plumbing of the console tool."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -323,6 +324,29 @@ def test_instance_without_generators_exits_one(instance_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _short_generator(inst, res):
+    inst["generators"][1] = [row[:-1] for row in inst["generators"][1][:-1]]
+
+
+def _short_preimage(inst, res):
+    res["phi"][1] = res["phi"][1][:-1]
+
+
+@pytest.mark.parametrize("edit", [_short_generator, _short_preimage], ids=["generator", "preimage"])
+def test_verify_wrong_shapes_exit_one(instance_path, tmp_path, capsys, edit):
+    """A generator or preimage of the wrong shape gets exit 1 and an error
+    line, not a traceback from the batched word products."""
+    result = _rewrite_result(instance_path, tmp_path)
+    inst, res = json.loads(open(instance_path).read()), json.loads(open(result).read())
+    edit(inst, res)
+    for path, data in ((instance_path, inst), (result, res)):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- cold start and the example scripts -----------------------------------------------
 
 
@@ -355,3 +379,12 @@ def test_script_runs(script, args):
     proc = _run_python([str(SCRIPTS / script), *args])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_parity_sweep_prints_a_case_line():
+    loader = importlib.util.spec_from_file_location("parity_sweep", SCRIPTS / "parity_sweep.py")
+    sweep = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(sweep)
+    line = sweep.case_line(7, 1, "d=3 q=7 factors=[sym(2)@0]", 0, True)
+    assert line.startswith("d=3 q=7 factors=[sym(2)@0] seed=0 planted=1 ok ")
+    assert "tampered=Refuted(" in line and "oracle=Consistent(" in line

@@ -10,7 +10,14 @@ import pytest
 
 from singerlab.cli import result_to_dict
 from singerlab.digitmap import phi
-from singerlab.errors import ConstraintViolation, InvalidInput, SingularMatrix, UnsupportedFactor
+from singerlab.errors import (
+    ConstraintViolation,
+    FieldMismatch,
+    InvalidInput,
+    ShapeMismatch,
+    SingularMatrix,
+    UnsupportedFactor,
+)
 from singerlab.ffield import factor_poly, field_ctx, find_roots, poly_deg
 from singerlab.instgen import gen_instance, tamper
 from singerlab.matfq import Matrix, char_poly, embed_matrix, random_invertible
@@ -364,6 +371,44 @@ def test_verify_word_check_matches_the_explicit_model_words(monkeypatch, p, f, d
     assert "verified" in details
     assert any(x.startswith("generator") for x in details)
     assert any(x.startswith("word check") and x != "word check 0 failed" for x in details)
+
+
+def _short_generator(publics, frame, pre):
+    n = publics[0].shape[0]
+    return [publics[0], Matrix.identity(CTX73.base, n - 1)], frame, pre
+
+
+def _generators_over_the_extension(publics, frame, pre):
+    return [embed_matrix(CTX73, g) for g in publics], frame, pre
+
+
+def _wide_preimage(publics, frame, pre):
+    return publics, frame, [pre[0], Matrix.identity(CTX73.ext, CTX73.d + 1)]
+
+
+def _wide_frame(publics, frame, pre):
+    return publics, Matrix.identity(CTX73.ext, frame.shape[0] + 1), pre
+
+
+@pytest.mark.parametrize(
+    "malform,error",
+    [
+        (_short_generator, ShapeMismatch),
+        (_generators_over_the_extension, FieldMismatch),
+        (_wide_preimage, ShapeMismatch),
+        (_wide_frame, ShapeMismatch),
+    ],
+)
+def test_verify_malformed_inputs_raise_typed_errors(malform, error):
+    """Matrices of the wrong shape or field are errors, not verdicts; the
+    batched word products would otherwise stop in numpy with a ValueError
+    or IndexError."""
+    spec = spec_of("sym(2)")
+    publics, T, gens = planted(CTX73, spec, seed=9)
+    frame = embed_matrix(CTX73, T).inv()
+    pre = [embed_matrix(CTX73, g) for g in gens]
+    with pytest.raises(error):
+        verify_projective(spec, CTX73, *malform(publics, frame, pre))
 
 
 def test_verify_rejects_count_mismatch():

@@ -231,3 +231,16 @@ def test_induced_commutes_with_embedding():
     A = random_invertible(ctx.base, 2, random.Random(8))
     lifted = induced_matrix(s, embed_matrix(ctx, A))
     assert lifted == embed_matrix(ctx, induced_matrix(s, A))
+
+
+def test_induced_matrix_of_no_factors_is_the_1x1_identity():
+    A = random_invertible(F7, 3, random.Random(0))
+    assert induced_matrix(parse_module_spec("d=3 q=7 factors=[]"), A) == Matrix.identity(F7, 1)
+
+
+def test_induced_matrix_never_aliases_its_argument():
+    A = random_invertible(F7, 3, random.Random(1))
+    out = induced_matrix(spec_of("nat"), A)
+    assert out == A
+    out.a[0, 0] = (out.a[0, 0] + 1) % 7
+    assert out != A
