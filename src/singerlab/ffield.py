@@ -165,6 +165,17 @@ class Field:
             self.modulus = find_irreducible(p, m)
         # low-first base-p digit weights, reused by encode/decode
         self._weights = tuple(p**i for i in range(m))
+        # x^k mod modulus for k < 2m - 1, as digit tuples: the one reduction table
+        xpow = [(1,) + (0,) * (m - 1)]
+        for _ in range(2 * m - 2):
+            top = xpow[-1][-1]
+            xpow.append(tuple((c - top * g) % p for c, g in zip((0,) + xpow[-1][:-1], self.modulus)))
+        self._high_powers = xpow[m:]
+        # read-only arrays for the matrix kernel: the weights, and the (m, m^2)
+        # reduction matrix whose column i*m + j is x^(i+j)
+        self.weights = np.array(self._weights)
+        self.reduction = np.array([xpow[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
+        self.weights.flags.writeable = self.reduction.flags.writeable = False
         self._prime = Field(p) if m > 1 else None  # untabled inverses run over F_p
         self._exp: list[int] | None = None
         self._log: dict[int, int] | None = None
@@ -290,30 +301,26 @@ class Field:
         while k < n1:
             digits[k : 2 * k] = digits[: min(k, n1 - k)] @ step % p
             step, k = step @ step % p, 2 * k
-        exp = (digits @ np.array(self._weights, dtype=np.int64)).tolist()
+        exp = (digits @ self.weights).tolist()
         log = {c: i for i, c in enumerate(exp)}
         self._exp, self._log, self._generator = exp, log, g
 
     # -- untabled polynomial-basis arithmetic --------------------------------
 
     def _polymul_code(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da = self.decode(a)
-        db = self.decode(b)
+        m = self.m
         prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
+        db = self.decode(b)
+        for i, ca in enumerate(self.decode(a)):
             if ca:
                 for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce mod modulus
-        mod = self.modulus
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
+                    prod[i + j] += ca * cb
+        out = prod[:m]
+        for c, row in zip(prod[m:], self._high_powers):
             if c:
-                prod[k] = 0
-                for j in range(m):
-                    prod[k - m + j] = (prod[k - m + j] - c * mod[j]) % p
-        return self.encode(tuple(prod[:m]))
+                for t, r in enumerate(row):
+                    out[t] += c * r
+        return self.encode(out)  # encode reduces each digit mod p
 
     def _poly_inv_code(self, a: int) -> int:
         fp = self._prime
@@ -602,14 +609,14 @@ def factor_poly(F: Field, g: DensePoly) -> list[tuple[DensePoly, int]]:
     return factors
 
 
-def find_roots(F: Field, g: DensePoly) -> list[tuple[int, int]]:
-    """Roots of g in F itself, as (root, multiplicity), sorted by coefficient vector."""
-    out = []
-    for f, mult in factor_poly(F, g):
-        if poly_deg(f) == 1:
-            out.append((F.neg(f[0]), mult))
-    out.sort(key=lambda rm: F.decode(rm[0]))
-    return out
+def _one_root(F: Field, h: DensePoly) -> int:
+    """One root of a monic h that splits over F into distinct linear factors:
+    equal-degree splitting, keeping the smaller part of each split."""
+    rng = _edf_rng(F, h)
+    while poly_deg(h) > 1:
+        a = _edf_split(F, h, 1, rng)
+        h = min(a, poly_divmod(F, h, a)[0], key=poly_deg)
+    return F.neg(h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -638,31 +645,28 @@ class FieldCtx:
         self._embed_inverse = {int(v): c for c, v in enumerate(self._embed_codes)}
 
     def _build_embedding(self) -> list[int]:
-        """The image of every base code, in code order."""
+        """The image of every base code, in code order. The base modulus is
+        irreducible over F_p of degree f, so its roots in ext are the p-power
+        orbit of any one of them."""
         if self.f == 1:
             return list(range(self.p))
         # base modulus has F_p coefficients, which are valid ext codes as-is
-        g_in_ext: DensePoly = self.base.modulus
-        roots = [r for r, _ in find_roots(self.ext, g_in_ext)]
-        if not roots:
-            raise AssertionError("base modulus has no root in ext; tower is broken")
-        r = min(roots, key=self.ext.decode)
-        table = []
-        for code in range(self.base.order):
-            acc, xpow = 0, 1
-            for c in self.base.decode(code):
-                if c:
-                    acc = self.ext.add(acc, self.ext.mul(c, xpow))
-                xpow = self.ext.mul(xpow, r)
-            table.append(acc)
-        return table
+        orbit = [_one_root(self.ext, self.base.modulus)]
+        for _ in range(self.f - 1):
+            orbit.append(self.ext.pow(orbit[-1], self.p))
+        r = min(orbit, key=self.ext.decode)
+        return [poly_eval(self.ext, self.base.decode(code), r) for code in range(self.base.order)]
 
     def embed(self, a: int) -> int:
         """Ring embedding F_q -> F_{q^d} on codes."""
+        if not 0 <= a < self.q:
+            raise InvalidInput(f"base code {a} is out of range for F_{self.q}")
         return int(self._embed_codes[a])
 
     def embed_array(self, a: np.ndarray) -> np.ndarray:
         """embed on every entry of an int64 array of base codes, by one table lookup."""
+        if ((a < 0) | (a >= self.q)).any():
+            raise InvalidInput(f"a base code is out of range for F_{self.q}")
         return self._embed_codes[a]
 
     def unembed(self, a: int) -> int:
@@ -716,12 +720,7 @@ def roots_in_extension(ctx: FieldCtx, g: DensePoly) -> list[tuple[int, int]]:
         e = poly_deg(f)
         if ctx.d % e:
             continue
-        h = ctx.embed_poly(f)
-        rng = _edf_rng(ext, h)
-        while poly_deg(h) > 1:
-            a = _edf_split(ext, h, 1, rng)
-            h = min(a, poly_divmod(ext, h, a)[0], key=poly_deg)
-        orbit = [ext.neg(h[0])]
+        orbit = [_one_root(ext, ctx.embed_poly(f))]
         for _ in range(e - 1):
             orbit.append(ctx.frobenius(orbit[-1], 1))
         out.extend((lam, mult) for lam in sorted(orbit, key=ext.decode))

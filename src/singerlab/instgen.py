@@ -30,6 +30,7 @@ from .schur import (
     induced_matrix,
     parse_module_spec,
     require_supported,
+    require_tower,
 )
 from .singer import make_singer
 
@@ -201,6 +202,7 @@ def instance_from_dict(data: dict) -> PlantedInstance:
         p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
         ctx = field_ctx(p, f, d)
+        require_tower(spec, ctx)
         gens = tuple(Matrix.from_rows(ctx.base, rows) for rows in data["generators"])
         if not gens:
             raise InvalidInput("an instance needs at least one generator")

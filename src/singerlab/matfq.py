@@ -3,8 +3,8 @@
 Matrices hold element codes (as in ffield) in an int64 numpy array. All
 bulk arithmetic runs on the base-p digit tensor of shape (m, rows, cols):
 sums are digitwise mod p, and a product is the batch of m^2 F_p products
-of digit planes, folded back to m digits by a fixed (m, m^2) matrix whose
-column i*m + j holds x^(i+j) mod the field's modulus. Prime fields are
+of digit planes, folded back to m digits by Field.reduction, whose column
+i*m + j holds x^(i+j) mod the field's modulus. Prime fields are
 m = 1. When a sum of products could reach 2^63 the same code runs on
 Python-int object arrays. Elimination does one vectorized rank-1 update
 per pivot, and pivots are always the first nonzero entry in scan order,
@@ -34,21 +34,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=None)
-def _tables(F: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Digit weights p^i, and the reduction matrix: column i*m + j is x^(i+j)."""
-    p, m = F.p, F.m
-    powers = []
-    v = [1] + [0] * (m - 1)
-    for _ in range(2 * m - 1):
-        powers.append(v)
-        top = v[-1]
-        v = [(c - top * f) % p for c, f in zip([0] + v[:-1], F.modulus)]
-    red = np.array([powers[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
-    w = np.array([p**i for i in range(m)], dtype=np.int64)
-    return _frozen(w, red)
-
-
 def _dtype(F: Field, inner: int = 1):
     """int64 unless a sum of `inner` (or m^2) digit products could overflow."""
     return object if max(inner, F.m * F.m) * (F.p - 1) ** 2 >= 2**63 else np.int64
@@ -57,13 +42,13 @@ def _dtype(F: Field, inner: int = 1):
 def _split(F: Field, a, dt) -> np.ndarray:
     """Codes to digits, the digit axis first."""
     a = np.asarray(a).astype(dt)
-    w = _tables(F)[0].astype(dt).reshape((-1,) + (1,) * a.ndim)
+    w = F.weights.astype(dt).reshape((-1,) + (1,) * a.ndim)
     return a[None] // w % F.p
 
 
 def _join(F: Field, D: np.ndarray) -> np.ndarray:
     """Digits back to int64 codes."""
-    return np.tensordot(_tables(F)[0], D, axes=1).astype(np.int64)
+    return np.tensordot(F.weights, D, axes=1).astype(np.int64)
 
 
 def _fold(F: Field, P: np.ndarray) -> np.ndarray:
@@ -71,7 +56,7 @@ def _fold(F: Field, P: np.ndarray) -> np.ndarray:
     if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
         return P[0] % F.p
     flat = (P % F.p).reshape(F.m * F.m, -1)
-    return (_tables(F)[1] @ flat % F.p).reshape(P.shape[1:])
+    return (F.reduction @ flat % F.p).reshape(P.shape[1:])
 
 
 def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

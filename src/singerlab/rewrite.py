@@ -45,6 +45,7 @@ from .schur import (
     induced_matrix,
     model_spectrum,
     require_supported,
+    require_tower,
     twist_matrix,
 )
 
@@ -376,18 +377,12 @@ def _calibrate_sym(k: int, d: int, observations: list[Matrix], more, ext) -> Mat
     one determines the correction completely."""
     idx = _sym_index(k, d)
     pure = [idx[DigitVector([k if i == j else 0 for i in range(d)])] for j in range(d)]
-    pool = list(observations)
-    seen = 0
-    while True:
-        for O in pool[seen:]:
-            for c in pure:
-                col = [int(x) for x in O.a[:, c]]
-                if all(col):
-                    return _sym_theta_from_column(col, k, d, ext)
-        seen = len(pool)
-        if len(pool) - len(observations) >= OBSERVATION_CAP:
-            raise _Degenerate("no fully nonzero pure-power column observed")
-        pool.append(more())
+    for O in itertools.chain(observations, (more() for _ in range(OBSERVATION_CAP))):
+        for c in pure:
+            col = [int(x) for x in O.a[:, c]]
+            if all(col):
+                return _sym_theta_from_column(col, k, d, ext)
+    raise _Degenerate("no fully nonzero pure-power column observed")
 
 
 def _calibrate_wedge2(observations: list[Matrix], more, ext) -> Matrix:
@@ -472,20 +467,8 @@ def _extract_sym(N: Matrix, k: int, d: int) -> Matrix:
         ]
         cols.append(col)
     X = Matrix.from_rows(ext, cols).transpose()
-    SX = symmetric_power(X, k)
-
-    def rho(m: DigitVector) -> int:
-        c = idx[m]
-        for r in range(SX.shape[0]):
-            sv = int(SX.a[r, c])
-            if sv:
-                return ext.div(int(a[r, c]), sv)
-        raise _Degenerate("candidate symmetric power has a zero column")
-
     top = pures[0]
-    base = rho(top)
-    scales = [1] + [ext.div(rho(_bump(top, 0, j)), base) for j in range(1, d)]
-    return _normalize_first(X @ _diag(ext, scales))
+    return _rescale_columns(N, X, symmetric_power(X, k), [(idx[top], idx[_bump(top, 0, j)]) for j in range(1, d)])
 
 
 def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
@@ -523,22 +506,27 @@ def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
             raise _Degenerate("wedge kernel dimension is not one")
         cols.append(ker[0])
     X = Matrix.from_rows(ext, cols).transpose()
-    minors = compound_matrix(X, k)
-
-    def rho(C: tuple[int, ...]) -> int:
-        c = idx[C]
-        for r in range(len(labels)):
-            mv = int(minors.a[r, c])
-            if mv:
-                return ext.div(int(N.a[r, c]), mv)
-        raise _Degenerate("reconstructed columns give a zero minor column")
-
-    scales = [1] * d
+    pairs = []
     for j in range(1, d):
         rest = [x for x in range(d) if x not in (0, j)][: k - 1]
-        ca = tuple(sorted(rest + [0]))
-        cb = tuple(sorted(rest + [j]))
-        scales[j] = ext.div(rho(cb), rho(ca))
+        pairs.append((idx[tuple(sorted(rest + [0]))], idx[tuple(sorted(rest + [j]))]))
+    return _rescale_columns(N, X, compound_matrix(X, k), pairs)
+
+
+def _rescale_columns(N: Matrix, X: Matrix, FX: Matrix, pairs: list[tuple[int, int]]) -> Matrix:
+    """Rescale the columns of a preimage candidate X against N, given FX, the
+    functor image of X. The ratio N/FX at the first nonzero row of column c
+    is one global scalar times the column scales label c uses; for each pair
+    of labels (a_j, b_j) that differ by moving one symbol from column 0 to
+    column j, ratio(b_j)/ratio(a_j) is the scale of column j."""
+    ext = N.field
+    ratio = {}
+    for c in {c for pair in pairs for c in pair}:
+        nz = FX.a[:, c].nonzero()[0]
+        if len(nz) == 0:
+            raise _Degenerate("candidate functor image has a zero column")
+        ratio[c] = ext.div(int(N.a[nz[0], c]), int(FX.a[nz[0], c]))
+    scales = [1] + [ext.div(ratio[b], ratio[a]) for a, b in pairs]
     return _normalize_first(X @ _diag(ext, scales))
 
 
@@ -552,11 +540,9 @@ def reconstruct_generator(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
         return _normalize_first(N)
     if factor.kind == "sym":
         return _extract_sym(N, factor.k, d)
-    if factor.kind == "ext":
-        if factor.k >= d:
-            raise UnsupportedFactor("top exterior power is a scalar; no preimage to read")
-        return _extract_wedge(N, factor.k, d)
-    raise UnsupportedFactor(f"unknown factor kind {factor.kind!r}")
+    if factor.k >= d:
+        raise UnsupportedFactor("top exterior power is a scalar; no preimage to read")
+    return _extract_wedge(N, factor.k, d)
 
 
 def _is_diagonal(M: Matrix) -> bool:
@@ -608,6 +594,7 @@ def verify_projective(
     generator leaves rng where it was. Once every generator holds with scalar mu_i, a
     word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
     so a word check fails only if induced_matrix is not multiplicative."""
+    require_tower(spec, ctx)
     if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
     if len(publics) != len(preimages):

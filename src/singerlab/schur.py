@@ -215,11 +215,16 @@ def check_multiplicity_free(spec: ModuleSpec) -> MultiplicityFree | Repeated:
     return MultiplicityFree()
 
 
+def require_tower(spec: ModuleSpec, ctx: FieldCtx) -> None:
+    """Raise unless spec's q and d are those of the tower ctx."""
+    if spec.q != ctx.q or spec.d != ctx.d:
+        raise InvalidInput(f"module spec {spec.text()} does not match the field tower q={ctx.q} d={ctx.d}")
+
+
 def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:
     """Raise unless spec lives on the tower ctx and meets the pipeline's
     preconditions: the structural constraints and multiplicity freeness."""
-    if spec.q != ctx.q or spec.d != ctx.d:
-        raise InvalidInput("module spec does not match the field tower")
+    require_tower(spec, ctx)
     con = check_constraints(spec, ctx.p)
     if isinstance(con, Violations):
         raise ConstraintViolation("; ".join(con.issues))

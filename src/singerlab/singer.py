@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, NotPrimitive
 from .ffield import FieldCtx, is_primitive, roots_in_extension
 from .matfq import Matrix, char_poly, companion_matrix
-from .schur import ModuleSpec, dim, induced_matrix, model_spectrum
+from .schur import ModuleSpec, dim, induced_matrix, model_spectrum, require_tower
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def spectrum_on_module(s: SingerElement, spec: ModuleSpec) -> list[tuple[int, in
     """Eigenvalues of the induced action on the module, with algebraic
     multiplicities, via characteristic polynomial factorization only."""
     ctx = s.ctx
-    if spec.q != ctx.q or spec.d != ctx.d:
-        raise InvalidInput("module spec does not match the field tower")
+    require_tower(spec, ctx)
     m = induced_matrix(spec, s.S)
     cp = char_poly(m)
     roots = roots_in_extension(ctx, cp)

@@ -324,6 +324,23 @@ def test_instance_without_generators_exits_one(instance_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_refuses_a_spec_off_the_tower(instance_path, tmp_path, capsys):
+    """Both files claim q=11 on the q=7 tower: verify used to print verified /
+    consistent and exit 0, while rewrite refused the same instance."""
+    result = _rewrite_result(instance_path, tmp_path)
+    inst, res = json.loads(open(instance_path).read()), json.loads(open(result).read())
+    for path, data in ((instance_path, inst), (result, res)):
+        data["spec"] = data["spec"].replace("q=7", "q=11")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    for argv in (["verify", "--in", instance_path, "--result", result], ["rewrite", "--in", instance_path]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "field tower" in captured.err
+        assert "verified" not in captured.out
+
+
 def _short_generator(inst, res):
     inst["generators"][1] = [row[:-1] for row in inst["generators"][1][:-1]]
 

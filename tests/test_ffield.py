@@ -7,7 +7,9 @@ existed; they freeze the lex-smallest-modulus convention.
 
 import math
 import random
+from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,12 @@ from singerlab.ffield import (
     factorint,
     field_ctx,
     find_irreducible,
-    find_roots,
     is_primitive,
     nth_roots,
     poly_eval,
     poly_gcd,
     poly_deg,
+    poly_mod,
     poly_mul,
     poly_trim,
     roots_in_extension,
@@ -132,6 +134,30 @@ def test_embedding_is_field_homomorphism(p, f, d):
             assert ctx.embed(base.mul(a, b)) == ext.mul(emb[a], emb[b])
 
 
+@pytest.mark.parametrize(
+    "p,f,d", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 2, 4), (5, 2, 2), (7, 2, 2)]
+)
+def test_embedding_table_matches_full_factoring(p, f, d):
+    """The generator of F_q goes to the root of its modulus with the smallest
+    coefficient vector, taken here from a complete factorization over F_{q^d}."""
+    ctx = field_ctx(p, f, d)
+    ext = ctx.ext
+    r = min((lam for lam, _ in _linear_roots(ext, ctx.base.modulus)), key=ext.decode)
+    for code in range(ctx.q):
+        want = reduce(ext.add, (ext.mul(c, ext.pow(r, i)) for i, c in enumerate(ctx.base.decode(code))), 0)
+        assert ctx.embed(code) == want
+
+
+def test_embedding_rejects_codes_outside_the_base_field():
+    ctx = field_ctx(3, 2, 4)
+    for bad in (-1, ctx.q, ctx.q + 5):
+        with pytest.raises(InvalidInput):
+            ctx.embed(bad)
+        with pytest.raises(InvalidInput):
+            ctx.embed_array(np.array([[0, bad]], dtype=np.int64))
+    assert ctx.embed_array(np.array([0, 1, ctx.q - 1], dtype=np.int64)).tolist() == [0, 1, ctx.embed(ctx.q - 1)]
+
+
 def test_base_image_is_frobenius_fixed():
     ctx = field_ctx(3, 2, 2)
     fixed = [x for x in range(ctx.ext.order) if ctx.frobenius(x, 1) == x]
@@ -156,9 +182,14 @@ def test_min_poly_of_base_element_is_linear():
     assert ctx.min_poly_over_base(ctx.embed(5)) == (2, 1)  # x - 5
 
 
+def _linear_roots(F, g):
+    """Roots of g in F itself, as (root, multiplicity), by factoring g completely over F."""
+    return [(F.neg(h[0]), m) for h, m in factor_poly(F, g) if poly_deg(h) == 1]
+
+
 def test_roots_of_defining_polynomial():
     """x^3 + x^2 + 1 splits in F_343 into the Frobenius orbit of x itself."""
-    roots = find_roots(F343, F343.modulus)
+    roots = _linear_roots(F343, F343.modulus)
     assert sorted(r for r, _ in roots) == [7, 165, 226]
     assert all(m == 1 for _, m in roots)
 
@@ -379,3 +410,16 @@ def test_untabled_inverse_builds_no_field(monkeypatch):
     monkeypatch.setattr(ffield, "_is_prime", lambda n: pytest.fail("a field was built"))
     for a in (1, 2, 17, 12345, F.order - 1):
         assert F._polymul_code(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 8), (17, 4), (5, 8)], ids=["tabled_3^8", "untabled_17^4", "untabled_5^8"])
+def test_polymul_code_matches_polynomial_reduction(p, m):
+    """The product through the field's reduction table equals the product of
+    the coefficient polynomials reduced mod the modulus over F_p."""
+    F, fp = Field(p, m), Field(p)
+    rng = random.Random(repr(("polymul", p, m)))
+    pairs = [(0, 1), (1, F.order - 1), (F.order - 1, F.order - 1)]
+    pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(300)]
+    for a, b in pairs:
+        want = poly_mod(fp, poly_mul(fp, poly_trim(F.decode(a)), poly_trim(F.decode(b))), F.modulus)
+        assert F._polymul_code(a, b) == F.encode(want)

@@ -98,6 +98,13 @@ def test_malformed_file_rejected(tmp_path):
         load_instance(str(p))
 
 
+def test_instance_spec_off_the_tower_refused():
+    data = instance_to_dict(gen_instance(CTX, SPEC, 2, seed=2))
+    data["spec"] = data["spec"].replace("q=7", "q=11")
+    with pytest.raises(InvalidInput, match="does not match the field tower"):
+        instance_from_dict(data)
+
+
 def test_non_multiplicity_free_spec_refused():
     spec = parse_module_spec("d=3 q=7 factors=[nat@0,nat@1]")
     with pytest.raises(ConstraintViolation, match="not multiplicity free"):

@@ -18,7 +18,7 @@ from singerlab.errors import (
     SingularMatrix,
     UnsupportedFactor,
 )
-from singerlab.ffield import factor_poly, field_ctx, find_roots, poly_deg
+from singerlab.ffield import factor_poly, field_ctx, poly_deg
 from singerlab.instgen import gen_instance, tamper
 from singerlab.matfq import Matrix, char_poly, embed_matrix, random_invertible
 from singerlab.rewrite import (
@@ -136,10 +136,11 @@ def _old_verdict(ctx, m, ppd_e):
     F_{q^d}: n simple nonzero roots (recover_omega refuses a zero one), not
     all of them in the ppd subgroup."""
     roots = [
-        (lam, mult)
+        (ctx.ext.neg(h[0]), mult)
         for f, mult in factor_poly(ctx.base, char_poly(m))
         if ctx.d % poly_deg(f) == 0
-        for lam, _ in find_roots(ctx.ext, ctx.embed_poly(f))
+        for h, _ in factor_poly(ctx.ext, ctx.embed_poly(f))
+        if poly_deg(h) == 1
     ]
     if len(roots) != m.shape[0] or any(mult != 1 or lam == 0 for lam, mult in roots):
         return False
@@ -409,6 +410,17 @@ def test_verify_malformed_inputs_raise_typed_errors(malform, error):
     pre = [embed_matrix(CTX73, g) for g in gens]
     with pytest.raises(error):
         verify_projective(spec, CTX73, *malform(publics, frame, pre))
+
+
+def test_verify_rejects_a_spec_off_the_tower():
+    """A genuine result checked under a spec whose q is not the tower's is an
+    error, not a verdict: sym(2)@0 does not read q, so the check would pass."""
+    spec = spec_of("sym(2)")
+    publics, T, gens = planted(CTX73, spec, seed=9)
+    frame, pre = embed_matrix(CTX73, T).inv(), [embed_matrix(CTX73, g) for g in gens]
+    assert isinstance(verify_projective(spec, CTX73, publics, frame, pre), Verified)
+    with pytest.raises(InvalidInput, match="does not match the field tower"):
+        verify_projective(spec_of("sym(2)", q=11), CTX73, publics, frame, pre)
 
 
 def test_verify_rejects_count_mismatch():

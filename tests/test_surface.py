@@ -1,9 +1,10 @@
-"""Every top-level public function and class in src/singerlab has a caller.
+"""Every top-level function and class in src/singerlab has a caller.
 
-A name counts as referenced when some module under src/, scripts/ or
-perfbench/ loads it (as a bare name or as an attribute) or lists it in
-__all__. Imports and the definition itself do not count, so a helper that
-only the tests call fails here.
+A name counts as referenced when some module loads it (as a bare name or
+as an attribute) or lists it in __all__: a public name from src/,
+scripts/ or perfbench/, a private (underscore) name from src/ only.
+Imports and the definition itself do not count, so a helper that only the
+tests call, or that a merge leaves without a caller, fails here.
 """
 
 import ast
@@ -13,9 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "singerlab"
 
 # Kept without a caller in the program, with the reason.
-ALLOWED = {
-    "poly_eval": "the tests evaluate polynomials at found roots as an independent check",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _trees(*dirs):
@@ -24,9 +23,9 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced() -> set[str]:
+def _referenced(*dirs) -> set[str]:
     names = set()
-    for _, tree in _trees("src", "scripts", "perfbench"):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -39,20 +38,25 @@ def _referenced() -> set[str]:
     return names
 
 
-def _public_definitions():
+def _definitions(private: bool):
     for path, tree in _trees("src/singerlab"):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
                 yield f"{path.stem}.{node.name}", node.name
 
 
 def test_every_public_definition_is_referenced():
-    used = _referenced()
-    unused = sorted(q for q, name in _public_definitions() if name not in used and name not in ALLOWED)
+    used = _referenced("src", "scripts", "perfbench")
+    unused = sorted(q for q, name in _definitions(private=False) if name not in used and name not in ALLOWED)
     assert unused == []
 
 
+def test_every_private_definition_is_referenced_from_src():
+    used = _referenced("src")
+    assert sorted(q for q, name in _definitions(private=True) if name not in used) == []
+
+
 def test_allowlist_is_not_stale():
-    defined = {name for _, name in _public_definitions()}
+    defined = {name for _, name in _definitions(private=False)}
     assert set(ALLOWED) <= defined
-    assert not set(ALLOWED) & _referenced()
+    assert not set(ALLOWED) & _referenced("src", "scripts", "perfbench")
