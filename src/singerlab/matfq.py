@@ -250,6 +250,20 @@ class Matrix:
         return n == n2 and len(self.rref()[1]) == n
 
 
+def proportional(L: Matrix, R: Matrix) -> int | None:
+    """The nonzero scalar mu with L == mu * R, or None. Zero patterns must agree."""
+    if L.shape != R.shape:
+        return None
+    nz = R.a.ravel().nonzero()[0]
+    if len(nz) == 0:
+        return None
+    i = int(nz[0])
+    mu = L.field.div(int(L.a.ravel()[i]), int(R.a.ravel()[i]))
+    if mu == 0:
+        return None
+    return mu if L == R.scale(mu) else None
+
+
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, left factor major: entry ((i,k),(j,l)) = A[i,j] B[k,l]."""
     A._peer(B)

@@ -34,7 +34,16 @@ import numpy as np
 from .digitmap import DigitVector, phi
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
 from .ffield import FieldCtx, factorint, is_primitive, nth_roots, poly_deriv, poly_gcd, roots_in_extension
-from .matfq import Matrix, char_poly, compound_matrix, embed_matrix, kernel_basis, symmetric_power, word_products
+from .matfq import (
+    Matrix,
+    char_poly,
+    compound_matrix,
+    embed_matrix,
+    kernel_basis,
+    proportional,
+    symmetric_power,
+    word_products,
+)
 from .schur import (
     FactorSpec,
     ModuleSpec,
@@ -561,20 +570,6 @@ def _draw_words(rng: random.Random, letters: int, count: int) -> list[list[int]]
     return [[rng.randrange(letters) for _ in range(rng.randint(*WORD_LENGTHS))] for _ in range(count)]
 
 
-def _proportional(L: Matrix, R: Matrix) -> int | None:
-    """The scalar mu with L == mu * R, or None. Zero patterns must agree."""
-    if L.shape != R.shape:
-        return None
-    nz = R.a.ravel().nonzero()[0]
-    if len(nz) == 0:
-        return None
-    i = int(nz[0])
-    mu = L.field.div(int(L.a.ravel()[i]), int(R.a.ravel()[i]))
-    if mu == 0:
-        return None
-    return mu if L == R.scale(mu) else None
-
-
 def verify_projective(
     spec: ModuleSpec,
     ctx: FieldCtx,
@@ -601,16 +596,14 @@ def verify_projective(
         return Refuted("generator and preimage counts differ")
     if not publics:
         raise InvalidInput("need at least one generator image")
-    try:
-        C.inv()
-    except SingularMatrix:
-        return Refuted("frame is not invertible")
     n = dim(spec)
     for g, A in zip(publics, preimages):
         if g.field != ctx.base:
             raise FieldMismatch("generator images must be over the base field")
         if (C.shape, g.shape, A.shape) != ((n, n), (n, n), (ctx.d, ctx.d)):
             raise ShapeMismatch(f"frame {C.shape}, generator {g.shape}, preimage {A.shape} do not fit {spec.text()}")
+    if not C.is_invertible():
+        return Refuted("frame is not invertible")
 
     def scalars(seqs: list[list[int]]) -> list[int | None]:
         """Per word w, the mu with induced(A_w) @ C == mu * C @ E_w, or None."""
@@ -621,7 +614,7 @@ def verify_projective(
         # size, halve the peak memory of the products
         left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
         right = word_products([C, *(Matrix(ctx.ext, a) for a in models)], [[0, 1 + t] for t in range(len(seqs))])
-        return [_proportional(L, R) for L, R in zip(left, right)]
+        return [proportional(L, R) for L, R in zip(left, right)]
 
     mus = scalars([[i] for i in range(len(publics))])
     if None in mus:

@@ -349,10 +349,23 @@ def _short_preimage(inst, res):
     res["phi"][1] = res["phi"][1][:-1]
 
 
-@pytest.mark.parametrize("edit", [_short_generator, _short_preimage], ids=["generator", "preimage"])
+def _one_by_one_oracle_T(inst, res):
+    inst["oracle"]["T"] = [[1]]
+
+
+def _short_oracle_secret(inst, res):
+    inst["oracle"]["A"][0] = [row[:-1] for row in inst["oracle"]["A"][0][:-1]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_short_generator, _short_preimage, _one_by_one_oracle_T, _short_oracle_secret],
+    ids=["generator", "preimage", "oracle-T", "oracle-A"],
+)
 def test_verify_wrong_shapes_exit_one(instance_path, tmp_path, capsys, edit):
-    """A generator or preimage of the wrong shape gets exit 1 and an error
-    line, not a traceback from the batched word products."""
+    """A generator, preimage or oracle matrix of the wrong shape gets exit 1
+    and an error line, not a traceback from the batched word products or a
+    verdict on oracle data that cannot conjugate the publics."""
     result = _rewrite_result(instance_path, tmp_path)
     inst, res = json.loads(open(instance_path).read()), json.loads(open(result).read())
     edit(inst, res)
@@ -362,6 +375,22 @@ def test_verify_wrong_shapes_exit_one(instance_path, tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["verify", "--in", instance_path, "--result", result]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("T", ["identity", "zeros"])
+def test_verify_refuses_an_edited_oracle_T(instance_path, tmp_path, capsys, T):
+    """The oracle certifies with the T it stores: an edited T used to print
+    consistent and exit 0, because only some intertwiner had to exist."""
+    result = _rewrite_result(instance_path, tmp_path)
+    inst = json.loads(open(instance_path).read())
+    n = len(inst["oracle"]["T"])
+    inst["oracle"]["T"] = [[int(T == "identity" and i == j) for j in range(n)] for i in range(n)]
+    with open(instance_path, "w") as fh:
+        json.dump(inst, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 2
+    out = capsys.readouterr().out
+    assert "projective: verified" in out and "oracle: inconsistent" in out
 
 
 # -- cold start and the example scripts -----------------------------------------------

@@ -1,6 +1,8 @@
 """Planted instances, the ground-truth oracle, and file round trips."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +19,7 @@ from singerlab.instgen import (
     save_instance,
     tamper,
 )
-from singerlab.matfq import Matrix, embed_matrix
+from singerlab.matfq import Matrix, embed_matrix, random_invertible
 from singerlab.rewrite import RewriteConfig, RewriteResult, Verified, rewrite, verify_projective
 from singerlab.schur import induced_matrix, parse_module_spec
 
@@ -58,10 +60,43 @@ def test_oracle_check_catches_tampering():
     assert isinstance(oracle_check(bad), Inconsistent)
 
 
+def _identity_T(o):
+    return replace(o, T=Matrix.identity(CTX.base, o.T.shape[0]))
+
+
+def _zero_T(o):
+    return replace(o, T=Matrix.zeros(CTX.base, *o.T.shape))
+
+
+def _random_T(o):
+    return replace(o, T=random_invertible(CTX.base, o.T.shape[0], random.Random(0)))
+
+
+def _random_secret(o):
+    return replace(o, A=(random_invertible(CTX.base, CTX.d, random.Random(1)), *o.A[1:]))
+
+
+@pytest.mark.parametrize("edit", [_identity_T, _zero_T, _random_T, _random_secret])
+def test_oracle_check_refuses_edited_oracle_data(edit):
+    """The stored T and secrets are the certificate: with honest publics,
+    oracle data that does not conjugate them onto the publics is refused."""
+    inst = gen_instance(CTX, SPEC, 2, seed=5)
+    assert isinstance(oracle_check(replace(inst, oracle=edit(inst.oracle))), Inconsistent)
+
+
+def test_oracle_check_accepts_a_scaled_T_with_the_same_scalars():
+    """Any nonzero multiple of T conjugates alike: the check is a
+    proportionality test, not a comparison of T's entries."""
+    inst = gen_instance(CTX, SPEC, 2, seed=5)
+    want = oracle_check(inst)
+    assert isinstance(want, Consistent)
+    assert oracle_check(replace(inst, oracle=replace(inst.oracle, T=inst.oracle.T.scale(3)))) == want
+
+
 def test_oracle_check_accepts_an_intertwiner_space_of_dimension_two():
     """For this unplanted ext(2) instance the scalars (1, 1) leave a
     2-dimensional intertwiner space, and every other scalar pair none; the
-    instance is honest, so an invertible element of that space certifies it.
+    stored T lies in that space and certifies the honest instance.
     Tampering still refutes."""
     ctx = field_ctx(3, 2, 4)
     spec = parse_module_spec("d=4 q=9 factors=[ext(2)@0]")

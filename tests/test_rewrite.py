@@ -20,7 +20,7 @@ from singerlab.errors import (
 )
 from singerlab.ffield import factor_poly, field_ctx, poly_deg
 from singerlab.instgen import gen_instance, tamper
-from singerlab.matfq import Matrix, char_poly, embed_matrix, random_invertible
+from singerlab.matfq import Matrix, char_poly, embed_matrix, proportional, random_invertible
 from singerlab.rewrite import (
     VERIFICATION_WORDS,
     ElementSampler,
@@ -30,7 +30,6 @@ from singerlab.rewrite import (
     RewriteResult,
     Verified,
     _draw_words,
-    _proportional,
     build_eigenbasis,
     reconstruct_generator,
     recover_omega,
@@ -322,14 +321,14 @@ def _reference_verify(spec, ctx, publics, C, preimages, rng, induced):
     models = [C @ embed_matrix(ctx, g) @ cinv for g in publics]
     mus = []
     for i, (M, A) in enumerate(zip(models, preimages)):
-        mu = _proportional(induced(spec, A), M)
+        mu = proportional(induced(spec, A), M)
         if mu is None:
             return Refuted(f"generator {i} image is not proportional to its model")
         mus.append(mu)
     for t, w in enumerate(_draw_words(rng, len(publics), VERIFICATION_WORDS)):
         AW = reduce(lambda m, i: m @ preimages[i], w, Matrix.identity(ctx.ext, ctx.d))
         MW = reduce(lambda m, i: m @ models[i], w, Matrix.identity(ctx.ext, dim(spec)))
-        if _proportional(induced(spec, AW), MW) is None:
+        if proportional(induced(spec, AW), MW) is None:
             return Refuted(f"word check {t} failed")
     return Verified(tuple(mus))
 

@@ -1,4 +1,5 @@
-"""Every top-level function and class in src/singerlab has a caller.
+"""Every top-level function, class and module-level assignment in
+src/singerlab has a reader.
 
 A name counts as referenced when some module loads it (as a bare name or
 as an attribute) or lists it in __all__: a public name from src/,
@@ -38,11 +39,22 @@ def _referenced(*dirs) -> set[str]:
     return names
 
 
+def _defined_names(node) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain names a module-level assignment binds, __dunder__ names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _definitions(private: bool):
     for path, tree in _trees("src/singerlab"):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
-                yield f"{path.stem}.{node.name}", node.name
+            for name in _defined_names(node):
+                if name.startswith("_") == private:
+                    yield f"{path.stem}.{name}", name
 
 
 def test_every_public_definition_is_referenced():
