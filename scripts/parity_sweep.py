@@ -1,7 +1,7 @@
 """Byte-parity sweep: one line per case, then a combined digest.
 
-Runs rewrite on 88 fixed cases (11 module specs over F_5, F_7, F_9 and
-F_17, instance seeds 0-3, with and without a planted Singer generator) and
+Runs rewrite on 96 fixed cases (12 module specs over F_5, F_7, F_9, F_17
+and F_47, instance seeds 0-3, with and without a planted Singer generator) and
 prints for each the sha256 of the canonical rewrite JSON, or the Failure
 reason with its counters. Each recovered result is then replayed by
 verify_projective against a tampered copy of its instance, and the
@@ -43,6 +43,7 @@ SPECS = [
     (3, 2, "d=3 q=9 factors=[sym(2)@0]"),
     (3, 2, "d=4 q=9 factors=[ext(2)@0]"),
     (17, 1, "d=4 q=17 factors=[sym(2)@0]"),
+    (47, 1, "d=3 q=47 factors=[sym(2)@0]"),  # untabled F_{47^3}: odd extension degree
 ]
 SEEDS = range(4)
 

@@ -3,9 +3,14 @@
 Elements of F_{p^m} are stored as integer codes: the element with
 coefficient vector (c_0, ..., c_{m-1}) in the fixed polynomial basis is the
 integer sum c_i * p^i, in [0, p^m). Code 0 is zero, code 1 is one, and for
-prime fields the code is just the residue. All operations are pure; the one
-randomized routine (equal-degree splitting) draws from a PRNG seeded by the
-polynomial's own content, so factoring is a deterministic function.
+prime fields the code is just the residue. Fields up to TABLE_LIMIT multiply
+by exp/log tables. Larger ones work on packed ints, one S-bit slot per digit:
+one int product is the whole digit convolution (Kronecker substitution), the
+high slots fold back through x^k mod the modulus, the p^k-power Frobenius is
+a precomputed F_p-linear digit map, and inverses are Itoh-Tsujii (the norm
+lies in F_p); this keeps O(m^2) ints whatever p is. All operations are pure;
+the one randomized routine (equal-degree splitting) draws from a PRNG seeded
+by the polynomial's own content, so factoring is a deterministic function.
 
 Polynomials are tuples of codes, lowest degree first, with no trailing
 zeros (the zero polynomial is the empty tuple).
@@ -170,16 +175,30 @@ class Field:
         for _ in range(2 * m - 2):
             top = xpow[-1][-1]
             xpow.append(tuple((c - top * g) % p for c, g in zip((0,) + xpow[-1][:-1], self.modulus)))
-        self._high_powers = xpow[m:]
         # read-only arrays for the matrix kernel: the weights, and the (m, m^2)
         # reduction matrix whose column i*m + j is x^(i+j)
         self.weights = np.array(self._weights)
         self.reduction = np.array([xpow[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
         self.weights.flags.writeable = self.reduction.flags.writeable = False
-        self._prime = Field(p) if m > 1 else None  # untabled inverses run over F_p
+        # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
+        # m digit products plus m-1 folded high slots times digits of x^k mod modulus
+        S = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
+        self._slot, self._shifts = S, range(0, S * m, S)
+        self._mask, self._low = (1 << S) - 1, (1 << S * m) - 1
+        self._fold_rows = [sum(c << s for c, s in zip(row, self._shifts)) for row in xpow[m:]]
         self._exp: list[int] | None = None
         self._log: dict[int, int] | None = None
         self._generator: int | None = None
+        # packed x^(j p^k) for k = 1..m-1: row j of the F_p-linear p^k-power Frobenius
+        self._frob_rows: list[list[int]] = []
+        if m > 1:
+            xp = self.pow(p, p)  # code p is x itself
+            rows = [1]
+            for _ in range(m - 1):
+                rows.append(self._polymul_code(rows[-1], xp))
+            for _ in range(m - 1):
+                self._frob_rows.append([self._pack(c) for c in rows])
+                rows = [self.frobenius(c, 1) for c in rows]
         if m > 1 and self.order <= TABLE_LIMIT:
             self._build_tables()
 
@@ -252,8 +271,17 @@ class Field:
         if self._exp is not None:
             n1 = self.order - 1
             return self._exp[(n1 - self._log[a]) % n1]
-        # extended Euclid on (element, modulus) over F_p
-        return self._poly_inv_code(a)
+        # Itoh-Tsujii: the norm a^r, r = (p^m - 1)/(p - 1), lies in F_p, so a^-1 is
+        # b / a^r with b = a^(r-1) = s^p for s = a^(1 + p + ... + p^(m-2)). Writing
+        # s_n = a^(1 + p + ... + p^(n-1)), s climbs to s_(m-1) by the bits of m - 1
+        # through s_2n = s_n * s_n^(p^n) and s_(n+1) = a * s_n^p.
+        s, n = a, 1
+        for bit in bin(self.m - 1)[3:]:
+            s, n = self._polymul_code(s, self.frobenius(s, n)), 2 * n
+            if bit == "1":
+                s, n = self._polymul_code(a, self.frobenius(s, 1)), n + 1
+        b = self.frobenius(s, 1)
+        return self._unpack(self._pack(b) * pow(self._polymul_code(a, b), -1, self.p))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -268,13 +296,26 @@ class Field:
         if self._exp is not None:
             n1 = self.order - 1
             return self._exp[(self._log[a] * e) % n1]
-        result, base = 1, a
+        result, e = 1, e % (self.order - 1)
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._polymul_code(result, a)
             e >>= 1
+            if e:
+                a = self._polymul_code(a, a)
         return result
+
+    def frobenius(self, a: int, k: int) -> int:
+        """a^(p^k), with k reduced mod m (negative k allowed), by the F_p-linear
+        digit map: a sum of precomputed packed rows weighted by a's digits."""
+        k %= self.m
+        if k == 0:
+            return a
+        t, p = 0, self.p
+        for row in self._frob_rows[k - 1]:
+            t += (a % p) * row
+            a //= p
+        return self._unpack(t)
 
     # -- generator / tables --------------------------------------------------
 
@@ -305,38 +346,36 @@ class Field:
         log = {c: i for i, c in enumerate(exp)}
         self._exp, self._log, self._generator = exp, log, g
 
-    # -- untabled polynomial-basis arithmetic --------------------------------
+    # -- untabled arithmetic on packed ints ----------------------------------
+    #
+    # Digit i of a code sits in bits [i*S, (i+1)*S) of one packed int, so one int
+    # product is the whole digit convolution (Kronecker substitution). S is wide
+    # enough for the slot bound stated in __init__, so no slot carries into the next.
+
+    def _pack(self, a: int) -> int:
+        out, p = 0, self.p
+        for shift in self._shifts:
+            out |= (a % p) << shift
+            a //= p
+        return out
+
+    def _unpack(self, t: int) -> int:
+        """The code of a packed polynomial of at most 2m-1 slots: the high slots fold
+        back through x^k mod the modulus, then each slot is reduced mod p."""
+        mask, p, S = self._mask, self.p, self._slot
+        t, high = t & self._low, t >> self._shifts.stop
+        for row in self._fold_rows:
+            t += (high & mask) * row
+            high >>= S
+        code = 0
+        for w in self._weights:
+            code += (t & mask) % p * w
+            t >>= S
+        return code
 
     def _polymul_code(self, a: int, b: int) -> int:
-        m = self.m
-        prod = [0] * (2 * m - 1)
-        db = self.decode(b)
-        for i, ca in enumerate(self.decode(a)):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] += ca * cb
-        out = prod[:m]
-        for c, row in zip(prod[m:], self._high_powers):
-            if c:
-                for t, r in enumerate(row):
-                    out[t] += c * r
-        return self.encode(out)  # encode reduces each digit mod p
-
-    def _poly_inv_code(self, a: int) -> int:
-        fp = self._prime
-        r0: DensePoly = self.modulus
-        r1 = poly_trim(self.decode(a))
-        s0: DensePoly = ()
-        s1: DensePoly = (1,)
-        while r1:
-            q, r = poly_divmod(fp, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(fp, s0, poly_mul(fp, q, s1))
-        # r0 = gcd = nonzero constant since the modulus is irreducible
-        c = fp.inv(r0[0])
-        s0 = poly_mod(fp, s0, self.modulus)
-        padded = tuple(s0) + (0,) * (self.m - len(s0))
-        return self.encode(tuple(fp.mul(c, x) for x in padded))
+        A = self._pack(a)
+        return self._unpack(A * (A if a == b else self._pack(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +508,10 @@ def find_irreducible(p: int, n: int) -> DensePoly:
         return (0, 1)
     fp = Field(p)
     n_primes = list(factorint(n))
-    for t in range(p**n):
-        # digit c_0 is the most significant so that t-order equals lex order
-        coeffs = tuple((t // p ** (n - 1 - i)) % p for i in range(n))
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        f = coeffs + (1,)
+    # digit c_0 is the most significant so that t-order equals lex order; t starts
+    # at p^(n-1), the first t with c_0 != 0, since the others are divisible by x
+    for t in range(p ** (n - 1), p**n):
+        f = tuple((t // p ** (n - 1 - i)) % p for i in range(n)) + (1,)
         if _rabin_irreducible(fp, f, n, n_primes):
             return f
     raise AssertionError("no irreducible found; unreachable for n >= 1")
@@ -501,12 +538,7 @@ def _random_poly(F: Field, deg_below: int, rng: random.Random) -> DensePoly:
 
 def _pth_root_poly(F: Field, f: DensePoly) -> DensePoly:
     # f = h(x^p); coefficients need an inverse Frobenius: c -> c^(p^(m-1))
-    p = F.p
-    e = p ** (F.m - 1)
-    out = []
-    for i in range(0, len(f), p):
-        out.append(F.pow(f[i], e))
-    return poly_trim(out)
+    return poly_trim(F.frobenius(c, -1) for c in f[:: F.p])
 
 
 def _squarefree_parts(F: Field, f: DensePoly) -> list[tuple[DensePoly, int]]:
@@ -653,7 +685,7 @@ class FieldCtx:
         # base modulus has F_p coefficients, which are valid ext codes as-is
         orbit = [_one_root(self.ext, self.base.modulus)]
         for _ in range(self.f - 1):
-            orbit.append(self.ext.pow(orbit[-1], self.p))
+            orbit.append(self.ext.frobenius(orbit[-1], 1))
         r = min(orbit, key=self.ext.decode)
         return [poly_eval(self.ext, self.base.decode(code), r) for code in range(self.base.order)]
 
@@ -680,8 +712,9 @@ class FieldCtx:
         return tuple(self.embed(c) for c in g)
 
     def frobenius(self, x: int, e: int) -> int:
-        """x^(q^e) in ext, with e reduced mod d (negative e allowed)."""
-        return self.ext.pow(x, self.q ** (e % self.d))
+        """x^(q^e) in ext, with e reduced mod d (negative e allowed): the p^(f e)-power
+        digit map of ext."""
+        return self.ext.frobenius(x, self.f * e)
 
     def min_poly_over_base(self, x: int) -> DensePoly:
         """Minimal polynomial of x in ext over F_q, coefficients as base codes."""

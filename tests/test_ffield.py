@@ -55,6 +55,12 @@ F343 = Field(7, 3)
         (2, 3, (1, 0, 1, 1)),
         (2, 4, (1, 0, 0, 1, 1)),
         (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+        # large characteristic: the scan skips the p^(m-1) candidates divisible by x
+        (17, 4, (1, 0, 0, 3, 1)),
+        (47, 3, (1, 0, 5, 1)),
+        (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+        (65537, 2, (1, 1, 1)),
+        (2**31 - 1, 2, (1, 0, 1)),
     ],
 )
 def test_canonical_moduli(p, m, modulus):
@@ -95,6 +101,16 @@ def test_frobenius_is_pth_power_automorphism():
     for x in range(0, 343, 17):
         assert ctx.frobenius(x, 1) == F343.pow(x, 7)
         assert ctx.frobenius(x, 3) == x
+
+
+@pytest.mark.parametrize("p,f,d", [(3, 2, 4), (17, 1, 4), (47, 1, 3)], ids=["F_9^4", "F_17^4", "F_47^3"])
+def test_tower_frobenius_matches_q_power(p, f, d):
+    ctx = field_ctx(p, f, d)
+    rng = random.Random(repr(("frobenius", p, f, d)))
+    xs = [0, 1, ctx.ext.order - 1] + [rng.randrange(ctx.ext.order) for _ in range(20)]
+    for e in range(-d, 2 * d):
+        for x in xs:
+            assert ctx.frobenius(x, e) == ctx.ext.pow(x, ctx.q ** (e % d))
 
 
 @given(st.integers(0, 342), st.integers(0, 342), st.integers(0, 342))
@@ -423,3 +439,42 @@ def test_polymul_code_matches_polynomial_reduction(p, m):
     for a, b in pairs:
         want = poly_mod(fp, poly_mul(fp, poly_trim(F.decode(a)), poly_trim(F.decode(b))), F.modulus)
         assert F._polymul_code(a, b) == F.encode(want)
+
+
+P61 = 2**61 - 1
+PACKED_FIELDS = {
+    "F_2^17": (2, 17, None),
+    "F_47^3": (47, 3, None),
+    "F_5^8": (5, 8, None),
+    "F_65537^2": (65537, 2, None),
+    "F_(2^61-1)^3": (P61, 3, (P61 - 5, 0, 0, 1)),  # x^3 - 5, checked below
+}
+
+
+@pytest.mark.parametrize("name", PACKED_FIELDS)
+def test_packed_kernel_matches_schoolbook_reference(name):
+    """Untabled products, inverses and Frobenius maps on packed ints agree with
+    polynomial products reduced mod the modulus over F_p, for p = 2, odd m,
+    m = 8, a 17-bit p and a 61-bit p whose weights need object arrays."""
+    p, m, modulus = PACKED_FIELDS[name]
+    fp = Field(p)
+    if modulus is not None:
+        assert ffield._rabin_irreducible(fp, modulus, m, list(factorint(m)))
+    F = Field(p, m, modulus=modulus)
+    assert F._exp is None and (F.weights.dtype == object) == (p == P61)
+
+    def reference_mul(a, b):
+        want = poly_mod(fp, poly_mul(fp, poly_trim(F.decode(a)), poly_trim(F.decode(b))), F.modulus)
+        return F.encode(want)
+
+    rng = random.Random(repr(("packed", p, m)))
+    codes = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(40)]
+    for a in codes:
+        for b in (0, 1, F.order - 1, a, rng.randrange(F.order)):
+            assert F._polymul_code(a, b) == reference_mul(a, b)
+        if a:
+            assert reference_mul(a, F.inv(a)) == 1
+        for k in range(m):
+            assert F.frobenius(a, k) == F.pow(a, p**k)
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
