@@ -8,7 +8,8 @@ by exp/log tables. Larger ones work on packed ints, one S-bit slot per digit:
 one int product is the whole digit convolution (Kronecker substitution), the
 high slots fold back through x^k mod the modulus, the p^k-power Frobenius is
 a precomputed F_p-linear digit map, and inverses are Itoh-Tsujii (the norm
-lies in F_p); this keeps O(m^2) ints whatever p is. All operations are pure;
+lies in F_p); this keeps O(m^2) ints whatever p is. Polynomials mod h multiply
+on digit arrays of F[x]/(h), by one convolution. All operations are pure;
 the one randomized routine (equal-degree splitting) draws from a PRNG seeded
 by the polynomial's own content, so factoring is a deterministic function.
 
@@ -46,6 +47,11 @@ DLOG_LIMIT = 2**48
 
 _SMALL_PRIMES = tuple(sorted(set(range(2, 10**4)).difference(*(range(r * r, 10**4, r) for r in range(2, 100)))))
 _PSI_13 = 3317044064679887385961981  # the first 13 prime bases are exact below it (Sorenson & Webster 2015)
+
+
+def digit_dtype(p: int, terms: int):
+    """int64 unless a sum of `terms` products of two digits below p could reach 2^63."""
+    return object if terms * (p - 1) ** 2 >= 2**63 else np.int64
 
 
 def _is_prime(n: int) -> bool:
@@ -170,27 +176,30 @@ class Field:
             self.modulus = find_irreducible(p, m)
         # low-first base-p digit weights, reused by encode/decode
         self._weights = tuple(p**i for i in range(m))
-        # x^k mod modulus for k < 2m - 1, as digit tuples: the one reduction table
+        # x^k mod modulus for k < 3m - 2, as digit tuples: the one reduction table
         xpow = [(1,) + (0,) * (m - 1)]
-        for _ in range(2 * m - 2):
+        for _ in range(3 * m - 3):
             top = xpow[-1][-1]
             xpow.append(tuple((c - top * g) % p for c, g in zip((0,) + xpow[-1][:-1], self.modulus)))
-        # read-only arrays for the matrix kernel: the weights, and the (m, m^2)
-        # reduction matrix whose column i*m + j is x^(i+j)
-        self.weights = np.array(self._weights)
-        self.reduction = np.array([xpow[i + j] for i in range(m) for j in range(m)], dtype=np.int64).T
-        self.weights.flags.writeable = self.reduction.flags.writeable = False
+        # read-only arrays for the matrix kernel and the quotient ring: the weights,
+        # the (3m-2, m) digits of x^k, and the (m, m^2) reduction matrix whose
+        # column i*m + j is x^(i+j)
+        self.weights, self.powers = np.array(self._weights), np.array(xpow, dtype=np.int64)
+        self.reduction = self.powers[np.add.outer(np.arange(m), np.arange(m)).ravel()].T
+        self.weights.flags.writeable = self.powers.flags.writeable = self.reduction.flags.writeable = False
         # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
         # m digit products plus m-1 folded high slots times digits of x^k mod modulus
         S = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
         self._slot, self._shifts = S, range(0, S * m, S)
         self._mask, self._low = (1 << S) - 1, (1 << S * m) - 1
-        self._fold_rows = [sum(c << s for c, s in zip(row, self._shifts)) for row in xpow[m:]]
+        self._fold_rows = [sum(c << s for c, s in zip(row, self._shifts)) for row in xpow[m : 2 * m - 1]]
         self._exp: list[int] | None = None
         self._log: dict[int, int] | None = None
         self._generator: int | None = None
-        # packed x^(j p^k) for k = 1..m-1: row j of the F_p-linear p^k-power Frobenius
+        # x^(j p^k) for k = 1..m-1, packed (scalars) and as (m, m) digit matrices
+        # (arrays): row j of the F_p-linear p^k-power Frobenius
         self._frob_rows: list[list[int]] = []
+        self._frob_maps: list[np.ndarray] = []
         if m > 1:
             xp = self.pow(p, p)  # code p is x itself
             rows = [1]
@@ -198,6 +207,7 @@ class Field:
                 rows.append(self._polymul_code(rows[-1], xp))
             for _ in range(m - 1):
                 self._frob_rows.append([self._pack(c) for c in rows])
+                self._frob_maps.append(np.array([self.decode(c) for c in rows], dtype=digit_dtype(p, m)))
                 rows = [self.frobenius(c, 1) for c in rows]
         if m > 1 and self.order <= TABLE_LIMIT:
             self._build_tables()
@@ -316,6 +326,16 @@ class Field:
             t += (a % p) * row
             a //= p
         return self._unpack(t)
+
+    def frobenius_array(self, a: np.ndarray, k: int) -> np.ndarray:
+        """frobenius on every entry of an int64 code array, as one digit-matrix product."""
+        k %= self.m
+        if k == 0:
+            return a.copy()
+        dt, p = digit_dtype(self.p, self.m), self.p
+        w = self.weights.astype(dt)
+        D = a.astype(dt)[..., None] // w % p
+        return (D @ self._frob_maps[k - 1] % p @ w).astype(np.int64)
 
     # -- generator / tables --------------------------------------------------
 
@@ -479,15 +499,60 @@ def poly_deriv(F: Field, a: DensePoly) -> DensePoly:
     return poly_trim(out)
 
 
+class _QuotientRing:
+    """F[x]/(h), h monic of degree n >= 1, F = F_{p^m}. An element is an (n, 2m-1)
+    array of base-p digits, row i for x^i, upper m-1 slots zero: flattened, a
+    polynomial in x and the field's variable y with x = y^(2m-1), so one
+    np.convolve is a product with no slot spilling (Kronecker substitution), and
+    one F_p-linear matrix R, column j(2m-1) + k the element x^j y^k mod (h,
+    modulus), folds it back."""
+
+    def __init__(self, F: Field, h: DensePoly):
+        p, m, n = F.p, F.m, len(h) - 1
+        self.F, self.h, self.n, self.w = F, h, n, 2 * m - 1
+        self.dt = dt = digit_dtype(p, (2 * n - 1) * self.w)
+        # Y[c, k]: the digits of y^(c+k), so a coefficient's digits @ Y[:, k] are its product with y^k
+        Y = F.powers[np.add.outer(np.arange(m), np.arange(self.w))].astype(dt)
+        hy = (np.array([F.decode(c) for c in h[:-1]], dtype=dt) @ Y[:, :m].reshape(m, -1) % p).reshape(n, m, m)
+        X = np.zeros((2 * n - 1, n, m), dtype=dt)  # x^j mod h as (n, m) digits
+        X[range(n), range(n), 0] = 1
+        for j in range(n, 2 * n - 1):  # x^j = x x^(j-1), and x^n = -h_low
+            X[j, 1:] = X[j - 1, :-1]
+            X[j] = (X[j] - X[j - 1, -1] @ hy) % p
+        R = np.zeros((n, self.w, 2 * n - 1, self.w), dtype=dt)
+        R[:, :m] = (X.reshape(-1, m) @ Y.reshape(m, -1) % p).reshape(2 * n - 1, n, self.w, m).transpose(1, 3, 0, 2)
+        self.R = R.reshape(n * self.w, -1)
+
+    def lift(self, a: DensePoly) -> np.ndarray:
+        """The element of a polynomial of degree below n."""
+        out = np.zeros((self.n, self.w), dtype=self.dt)
+        for i, c in enumerate(a):
+            out[i, : self.F.m] = self.F.decode(c)
+        return out
+
+    def drop(self, A: np.ndarray) -> DensePoly:
+        return poly_trim(self.F.encode(row) for row in A[:, : self.F.m].tolist())
+
+    def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        c = np.convolve(A.ravel(), B.ravel())[: self.R.shape[1]] % self.F.p
+        return (self.R @ c % self.F.p).reshape(A.shape)
+
+    def pow(self, A: np.ndarray, e: int) -> np.ndarray:
+        """A^e for e >= 0, by square and multiply."""
+        result = None
+        while e:
+            if e & 1:
+                result = A if result is None else self.mul(result, A)
+            e >>= 1
+            if e:
+                A = self.mul(A, A)
+        return self.lift((1,)) if result is None else result
+
+
 def poly_pow_mod(F: Field, base: DensePoly, e: int, mod: DensePoly) -> DensePoly:
-    result: DensePoly = (1,)
-    base = poly_mod(F, base, mod)
-    while e:
-        if e & 1:
-            result = poly_mod(F, poly_mul(F, result, base), mod)
-        base = poly_mod(F, poly_mul(F, base, base), mod)
-        e >>= 1
-    return result
+    """base^e mod mod, for e >= 0 and mod of degree at least 1, in F[x]/(mod)."""
+    ring = _QuotientRing(F, poly_monic(F, mod))
+    return ring.drop(ring.pow(ring.lift(poly_mod(F, base, mod)), e))
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +583,13 @@ def find_irreducible(p: int, n: int) -> DensePoly:
 
 
 def _rabin_irreducible(fp: Field, f: DensePoly, n: int, n_primes: list[int]) -> bool:
-    p = fp.p
+    p, ring = fp.p, _QuotientRing(fp, f)
     x: DensePoly = (0, 1)
     for r in n_primes:
-        h = poly_sub(fp, poly_pow_mod(fp, x, p ** (n // r), f), x)
+        h = poly_sub(fp, ring.drop(ring.pow(ring.lift(x), p ** (n // r))), x)
         if poly_deg(poly_gcd(fp, f, h)) != 0:
             return False
-    return poly_sub(fp, poly_pow_mod(fp, x, p**n, f), x) == ()
+    return ring.drop(ring.pow(ring.lift(x), p**n)) == x
 
 
 def _edf_rng(F: Field, f: DensePoly) -> random.Random:
@@ -591,21 +656,20 @@ def _ddf(F: Field, f: DensePoly) -> list[tuple[DensePoly, int]]:
 def _edf_split(F: Field, f: DensePoly, e: int, rng: random.Random) -> DensePoly:
     """A proper monic factor of f, a monic squarefree product of at least two degree-e irreducibles."""
     n = poly_deg(f)
-    q = F.order
+    ring = _QuotientRing(F, f)
     while True:
         r = _random_poly(F, n, rng)
         if poly_deg(r) < 1:
             continue
         if F.p == 2:
             # trace map to F_2 splits in characteristic 2
-            t = r
-            acc = r
+            t = acc = ring.lift(r)
             for _ in range(e * F.m - 1):
-                acc = poly_mod(F, poly_mul(F, acc, acc), f)
-                t = poly_add(F, t, acc)
-            g = poly_gcd(F, f, t)
+                acc = ring.mul(acc, acc)
+                t = (t + acc) % 2
+            g = poly_gcd(F, f, ring.drop(t))
         else:
-            s = poly_pow_mod(F, r, (q**e - 1) // 2, f)
+            s = ring.drop(ring.pow(ring.lift(r), (F.order**e - 1) // 2))
             g = poly_gcd(F, f, poly_sub(F, s, (1,)))
         if 0 < poly_deg(g) < n:
             return g
@@ -672,16 +736,16 @@ class FieldCtx:
         self.q = p**f
         self.base = Field(p, f)
         self.ext = Field(p, f * d)
-        self._embed_codes = np.array(self._build_embedding(), dtype=np.int64)
-        self._embed_codes.flags.writeable = False
-        self._embed_inverse = {int(v): c for c, v in enumerate(self._embed_codes)}
+        self._embed_inverse: dict[int, int] = {}
+        if f > 1:  # a prime base field embeds as the identity on codes, with no table
+            self._embed_codes = np.array(self._build_embedding(), dtype=np.int64)
+            self._embed_codes.flags.writeable = False
+            self._embed_inverse = {int(v): c for c, v in enumerate(self._embed_codes)}
 
     def _build_embedding(self) -> list[int]:
         """The image of every base code, in code order. The base modulus is
         irreducible over F_p of degree f, so its roots in ext are the p-power
         orbit of any one of them."""
-        if self.f == 1:
-            return list(range(self.p))
         # base modulus has F_p coefficients, which are valid ext codes as-is
         orbit = [_one_root(self.ext, self.base.modulus)]
         for _ in range(self.f - 1):
@@ -693,16 +757,18 @@ class FieldCtx:
         """Ring embedding F_q -> F_{q^d} on codes."""
         if not 0 <= a < self.q:
             raise InvalidInput(f"base code {a} is out of range for F_{self.q}")
-        return int(self._embed_codes[a])
+        return a if self.f == 1 else int(self._embed_codes[a])
 
     def embed_array(self, a: np.ndarray) -> np.ndarray:
         """embed on every entry of an int64 array of base codes, by one table lookup."""
         if ((a < 0) | (a >= self.q)).any():
             raise InvalidInput(f"a base code is out of range for F_{self.q}")
-        return self._embed_codes[a]
+        return a.copy() if self.f == 1 else self._embed_codes[a]
 
     def unembed(self, a: int) -> int:
         """Inverse of embed on its image; raises if a is not in the image."""
+        if self.f == 1 and 0 <= a < self.q:
+            return a
         try:
             return self._embed_inverse[a]
         except KeyError:

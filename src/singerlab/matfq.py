@@ -21,7 +21,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import DensePoly, Field, FieldCtx, poly_trim
+from .ffield import DensePoly, Field, FieldCtx, digit_dtype, poly_trim
 
 # ---------------------------------------------------------------------------
 # the digit-tensor kernel
@@ -36,7 +36,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _dtype(F: Field, inner: int = 1):
     """int64 unless a sum of `inner` (or m^2) digit products could overflow."""
-    return object if max(inner, F.m * F.m) * (F.p - 1) ** 2 >= 2**63 else np.int64
+    return digit_dtype(F.p, max(inner, F.m * F.m))
 
 
 def _split(F: Field, a, dt) -> np.ndarray:
@@ -184,11 +184,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy())
-
-    def map_entries(self, fn) -> "Matrix":
-        """Apply a code-to-code function entrywise (e.g. a Frobenius twist)."""
-        out = [fn(int(x)) for x in self.a.flat]
-        return Matrix(self.field, np.array(out, dtype=np.int64).reshape(self.a.shape))
 
     # -- elimination --------------------------------------------------------
 

@@ -302,21 +302,28 @@ def _diag(F, values: list[int]) -> Matrix:
 def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: int) -> Matrix:
     """Stack left eigenrows of the element over F_{q^d}, one per aggregated
     pattern in label order, each scaled to leading entry 1. Row for pattern
-    c satisfies row @ W = omega^phi(c) * row."""
+    c satisfies row @ W = omega^phi(c) * row. One kernel per q-power
+    Frobenius orbit: W is over F_q, so row^(q) @ W = lam^q * row^(q)
+    entrywise, and a normalized eigenrow of a 1-dimensional eigenspace is
+    unique, so the orbit's other rows are exactly the kernel row's q-powers."""
     ext = ctx.ext
     W = embed_matrix(ctx, element)
     n = W.shape[0]
     wt = W.transpose()
     eye = Matrix.identity(ext, n)
-    rows = []
-    lams = []
-    for _, lam in model_spectrum(spec, ctx, omega):
+    lams = [lam for _, lam in model_spectrum(spec, ctx, omega)]
+    rows: dict[int, np.ndarray] = {}
+    for lam in lams:
+        if lam in rows:
+            continue
         ker = kernel_basis(wt - eye.scale(lam))
         if len(ker) != 1:
             raise _Degenerate("eigenspace dimension is not one")
-        rows.append(_normalize_first(Matrix.from_rows(ext, ker)).tolist()[0])
-        lams.append(lam)
-    C0 = Matrix.from_rows(ext, rows)
+        row = _normalize_first(Matrix.from_rows(ext, ker)).a[0]
+        while lam not in rows:
+            rows[lam] = row
+            lam, row = ctx.frobenius(lam, 1), ext.frobenius_array(row, ctx.f)
+    C0 = Matrix(ext, np.stack([rows[lam] for lam in lams]))
     if C0 @ W != _diag(ext, lams) @ C0:
         raise _Degenerate("eigenrow stack does not diagonalize the candidate")
     return C0

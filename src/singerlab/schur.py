@@ -243,12 +243,14 @@ def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:
 def twist_matrix(M: Matrix, q: int, e: int) -> Matrix:
     """M with every entry raised to the power q^e, the e-th q-power
     Frobenius of M's field. Over F_{q^d} exponents live mod q^d - 1, where
-    q^e = q^(e mod d), so e may be any non-negative integer."""
+    q^e = q^(e mod d), so e may be any non-negative integer; q^e acts as one
+    p^k, applied by the digit map Field.frobenius_array."""
     if e == 0:
         return M
     F = M.field
     t = pow(q, e, F.order - 1)
-    return M.map_entries(lambda x: 0 if x == 0 else F.pow(x, t))
+    k = next(k for k in range(F.m) if pow(F.p, k, F.order - 1) == t)
+    return Matrix(F, F.frobenius_array(M.a, k))
 
 
 def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -434,3 +435,42 @@ def test_parity_sweep_prints_a_case_line():
     line = sweep.case_line(7, 1, "d=3 q=7 factors=[sym(2)@0]", 0, True)
     assert line.startswith("d=3 q=7 factors=[sym(2)@0] seed=0 planted=1 ok ")
     assert "tampered=Refuted(" in line and "oracle=Consistent(" in line
+
+
+def test_scaling_sweep_prints_a_row():
+    loader = importlib.util.spec_from_file_location("scaling_sweep", SCRIPTS / "scaling_sweep.py")
+    sweep = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(sweep)
+    cells = sweep.row(5, "sym(2)", 3).split()
+    assert cells[:4] == ["sym(2)", "5", "3", "6"]
+    assert len(cells) == 7 and all(float(c) >= 0 for c in cells[4:])
+
+
+def test_gen_instance_on_a_31_bit_prime_field_needs_no_embedding_table(tmp_path):
+    """A prime base field embeds as the identity, so gen-instance at
+    q = 2^31 - 1 builds no q-entry table: under a 2 GB address-space limit,
+    set in the child alone, it exits 0 or 1 with a typed message, never a
+    traceback."""
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    env = dict(os.environ)
+    src = str(Path(singerlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    q = str(2**31 - 1)
+    args = ["gen-instance", "--spec", f"d=2 q={q} factors=[sym(2)@0]", "--q", q, "--d", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "singerlab.cli", *args, "--out", str(tmp_path / "x.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1), proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.startswith(("error: ", "budget exceeded: "))
+    else:
+        assert (tmp_path / "x.json").exists()

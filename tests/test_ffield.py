@@ -7,6 +7,7 @@ existed; they freeze the lex-smallest-modulus convention.
 
 import math
 import random
+import time
 from functools import reduce
 
 import numpy as np
@@ -478,3 +479,97 @@ def test_packed_kernel_matches_schoolbook_reference(name):
             assert F.frobenius(a, k) == F.pow(a, p**k)
     with pytest.raises(DivisionByZero):
         F.inv(0)
+
+
+# -- the quotient ring F[x]/(h) on digit arrays ---------------------------------------
+
+
+def _reference_pow_mod(F, base, e, mod):
+    """Schoolbook square-and-multiply mod `mod`, one scalar Field call per
+    coefficient product: the reference the digit-array ring must match."""
+    result = (1,)
+    base = poly_mod(F, base, mod)
+    while e:
+        if e & 1:
+            result = poly_mod(F, poly_mul(F, result, base), mod)
+        base = poly_mod(F, poly_mul(F, base, base), mod)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 17, 2**31 - 1) for m in (1, 2, 4, 8)])
+def test_ring_power_matches_square_and_multiply(p, m):
+    """poly_pow_mod through F[x]/(h) equals the scalar reference for deg h
+    1..10, exponents 0, 1 and beyond the field order, and bases below, at and
+    above deg h; p = 2^31 - 1 runs on Python-int digits."""
+    F = Field(p, m)
+    rng = random.Random(repr(("ring", p, m)))
+    # the reference is slow on fields past 2^40, so those stop at degree 3
+    for n in range(1, 11) if F.order < 2**40 else range(1, 4):
+        h = tuple(rng.randrange(F.order) for _ in range(n)) + (rng.randrange(1, F.order),)
+        for base_deg in (n - 1, n, 2 * n + 1):
+            base = tuple(rng.randrange(F.order) for _ in range(base_deg)) + (rng.randrange(1, F.order),)
+            for e in (0, 1, 2):
+                assert ffield.poly_pow_mod(F, base, e, h) == _reference_pow_mod(F, base, e, h)
+        e = F.order + rng.randrange(1, F.order)
+        assert ffield.poly_pow_mod(F, base, e, h) == _reference_pow_mod(F, base, e, h)
+
+
+def _reference_trace_split(F, f, e, rng):
+    """_edf_split's characteristic-2 branch as the poly_mul/poly_mod squaring
+    loop it replaced: the trace r + r^2 + ... + r^(2^(em-1)) mod f."""
+    n = poly_deg(f)
+    while True:
+        r = poly_trim(tuple(rng.randrange(F.order) for _ in range(n)))
+        if poly_deg(r) < 1:
+            continue
+        t = acc = r
+        for _ in range(e * F.m - 1):
+            acc = poly_mod(F, poly_mul(F, acc, acc), f)
+            t = ffield.poly_add(F, t, acc)
+        g = poly_gcd(F, f, t)
+        if 0 < poly_deg(g) < n:
+            return g
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 17])
+def test_trace_split_matches_the_squaring_loop(m):
+    """Over F_{2^m}, tabled and untabled, the ring's trace split returns the
+    reference's factor for the same rng, on products of 2 or 3 distinct
+    irreducibles of one degree e."""
+    F = Field(2, m)
+    rng = random.Random(repr(("trace", m)))
+    irreducibles = set()
+    for _ in range(16):
+        irreducibles.update(f for f, _ in factor_poly(F, tuple(rng.randrange(F.order) for _ in range(7)) + (1,)))
+    cases = 0
+    for e in (1, 2, 3):
+        pool = sorted(f for f in irreducibles if poly_deg(f) == e)
+        for k in (2, 3):
+            if len(pool) < k:
+                continue
+            f = reduce(lambda a, b: poly_mul(F, a, b), pool[:k])
+            for seed in range(2):
+                want = _reference_trace_split(F, f, e, random.Random(seed))
+                assert ffield._edf_split(F, f, e, random.Random(seed)) == want
+                cases += 1
+    assert cases >= 2
+
+
+def test_prime_base_field_embeds_without_a_table():
+    """f = 1 embeds as the identity on codes with the same range checks, so a
+    31-bit prime base field builds at once instead of holding q entries."""
+    p = 2**31 - 1
+    t0 = time.perf_counter()
+    ctx = ffield.FieldCtx(p, 1, 2)
+    assert time.perf_counter() - t0 < 1.0
+    for a in (0, 1, 12345, p - 1):
+        assert ctx.embed(a) == a and ctx.unembed(a) == a
+    assert ctx.embed_array(np.array([[0, 7], [p - 1, 1]])).tolist() == [[0, 7], [p - 1, 1]]
+    for bad in (-1, p):
+        with pytest.raises(InvalidInput):
+            ctx.embed(bad)
+        with pytest.raises(InvalidInput):
+            ctx.embed_array(np.array([bad]))
+    with pytest.raises(InvalidInput):
+        ctx.unembed(p)  # the code of x, outside F_p

@@ -20,7 +20,7 @@ from singerlab.errors import (
 )
 from singerlab.ffield import factor_poly, field_ctx, poly_deg
 from singerlab.instgen import gen_instance, tamper
-from singerlab.matfq import Matrix, char_poly, embed_matrix, proportional, random_invertible
+from singerlab.matfq import Matrix, char_poly, embed_matrix, kernel_basis, proportional, random_invertible
 from singerlab.rewrite import (
     VERIFICATION_WORDS,
     ElementSampler,
@@ -36,7 +36,7 @@ from singerlab.rewrite import (
     rewrite,
     verify_projective,
 )
-from singerlab.schur import aggregated_patterns, dim, induced_matrix, parse_module_spec
+from singerlab.schur import aggregated_patterns, dim, induced_matrix, model_spectrum, parse_module_spec
 from singerlab.singer import make_singer, spectrum_on_module
 
 CTX73 = field_ctx(7, 1, 3)
@@ -549,3 +549,33 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         RewriteConfig(eps=1.5)
     assert RewriteConfig(eps=0.5).max_element_trials >= 8
+
+
+@pytest.mark.parametrize(
+    "p,f,d,text",
+    [(17, 1, 4, "sym(2)"), (3, 2, 4, "ext(2)"), (7, 1, 3, "sym(2)@1")],
+    ids=["sym2_q17_d4", "ext2_q9_d4", "sym2tw_q7_d3"],
+)
+def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch):
+    """build_eigenbasis takes one kernel per Frobenius orbit of the model
+    spectrum, and its rows equal the normalized kernel row of each label's
+    own eigenvalue."""
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=ctx.q, d=d)
+    s = make_singer(ctx, 1)
+    w = induced_matrix(spec, s.S)
+    W = embed_matrix(ctx, w)
+    eye = Matrix.identity(ctx.ext, W.shape[0])
+    lams = [lam for _, lam in model_spectrum(spec, ctx, s.omega)]
+    want = []
+    for lam in lams:
+        (row,) = kernel_basis(W.transpose() - eye.scale(lam))
+        lead = next(x for x in row if x)
+        want.append([ctx.ext.div(x, lead) for x in row])
+    orbits = {min(ctx.frobenius(lam, i) for i in range(d)) for lam in lams}
+
+    rw = importlib.import_module("singerlab.rewrite")
+    calls = []
+    monkeypatch.setattr(rw, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
+    assert build_eigenbasis(ctx, w, spec, s.omega).tolist() == want
+    assert len(calls) == len(orbits) < len(lams)

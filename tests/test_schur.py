@@ -28,6 +28,7 @@ from singerlab.schur import (
     parse_factor,
     parse_module_spec,
     total_degree,
+    twist_matrix,
 )
 
 F7 = Field(7)
@@ -244,3 +245,22 @@ def test_induced_matrix_never_aliases_its_argument():
     assert out == A
     out.a[0, 0] = (out.a[0, 0] + 1) % 7
     assert out != A
+
+
+@pytest.mark.parametrize(
+    "p,f,d",
+    [(7, 1, 1), (7, 1, 3), (3, 2, 2), (2, 2, 3), (17, 1, 4), (3, 2, 4)],
+    ids=["prime_F7", "tabled_F343", "tabled_F81", "tabled_F64", "untabled_F17^4", "tabled_F3^8"],
+)
+def test_twist_matrix_is_the_entrywise_q_power(p, f, d):
+    """twist_matrix's digit map equals F.pow(x, q^e) entry by entry, on the
+    base field (where it is the identity) and on the extension."""
+    ctx = field_ctx(p, f, d)
+    rng = random.Random(repr(("twist", p, f, d)))
+    for F in (ctx.base, ctx.ext):
+        rows = [[rng.randrange(F.order) for _ in range(5)] for _ in range(4)]
+        rows[0][:2] = [0, F.order - 1]
+        M = Matrix.from_rows(F, rows)
+        for e in range(2 * d + 1):
+            want = [[F.pow(x, ctx.q**e) for x in row] for row in rows]
+            assert twist_matrix(M, ctx.q, e).tolist() == want
