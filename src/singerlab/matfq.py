@@ -48,7 +48,7 @@ def _split(F: Field, a, dt) -> np.ndarray:
 
 def _join(F: Field, D: np.ndarray) -> np.ndarray:
     """Digits back to int64 codes."""
-    return np.tensordot(F.weights, D, axes=1).astype(np.int64)
+    return (F.weights @ D.reshape(F.m, -1)).reshape(D.shape[1:]).astype(np.int64)
 
 
 def _fold(F: Field, P: np.ndarray) -> np.ndarray:
@@ -155,9 +155,14 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self._from_digits(-self._digits() % self.field.p)
 
-    def scale(self, c: int) -> "Matrix":
+    def scale(self, c) -> "Matrix":
+        """Entrywise product with c: one code, an (r, 1) column of row factors
+        (diag(c) @ self) or a (1, c) row of column factors (self @ diag(c))."""
+        c = np.reshape(c, (1, 1)) if np.ndim(c) == 0 else np.asarray(c)
+        if c.shape not in ((1, 1), (self.shape[0], 1), (1, self.shape[1])):
+            raise ShapeMismatch(f"cannot scale a {self.shape} matrix by {c.shape} factors")
         X = self._digits()
-        return self._from_digits(_mul(self.field, _split(self.field, [[c]], X.dtype), X))
+        return self._from_digits(_mul(self.field, _split(self.field, c, X.dtype), X))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._peer(other)

@@ -292,13 +292,6 @@ def find_singer_candidate(
 # ---------------------------------------------------------------------------
 
 
-def _diag(F, values: list[int]) -> Matrix:
-    m = Matrix.zeros(F, len(values), len(values))
-    for i, v in enumerate(values):
-        m.a[i, i] = v
-    return m
-
-
 def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: int) -> Matrix:
     """Stack left eigenrows of the element over F_{q^d}, one per aggregated
     pattern in label order, each scaled to leading entry 1. Row for pattern
@@ -324,7 +317,7 @@ def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: in
             rows[lam] = row
             lam, row = ctx.frobenius(lam, 1), ext.frobenius_array(row, ctx.f)
     C0 = Matrix(ext, np.stack([rows[lam] for lam in lams]))
-    if C0 @ W != _diag(ext, lams) @ C0:
+    if C0 @ W != C0.scale(np.array(lams)[:, None]):
         raise _Degenerate("eigenrow stack does not diagonalize the candidate")
     return C0
 
@@ -362,7 +355,7 @@ def _bump(m: DigitVector, src: int, dst: int) -> DigitVector:
     return DigitVector(t)
 
 
-def _sym_theta_from_column(col: list[int], k: int, d: int, ext) -> Matrix:
+def _sym_theta_from_column(col: list[int], k: int, d: int, ext) -> list[int]:
     """Diagonal correction from one fully nonzero pure-power column.
 
     Gauge: the patterns with at most one non-leading symbol get 1. Every
@@ -385,10 +378,10 @@ def _sym_theta_from_column(col: list[int], k: int, d: int, ext) -> Matrix:
         den = ext.mul(col[idx[m]], col[idx[top]])
         ratio = ext.div(num, den)
         theta[m] = ext.div(theta[prev], ratio)
-    return _diag(ext, [theta[m] for m, _ in sorted(idx.items(), key=lambda kv: kv[1])])
+    return [theta[m] for m, _ in sorted(idx.items(), key=lambda kv: kv[1])]
 
 
-def _calibrate_sym(k: int, d: int, observations: list[Matrix], more, ext) -> Matrix:
+def _calibrate_sym(k: int, d: int, observations: list[Matrix], more, ext) -> list[int]:
     """Scan observations for a pure-power column with no zero entry; each
     one determines the correction completely."""
     idx = _sym_index(k, d)
@@ -401,7 +394,7 @@ def _calibrate_sym(k: int, d: int, observations: list[Matrix], more, ext) -> Mat
     raise _Degenerate("no fully nonzero pure-power column observed")
 
 
-def _calibrate_wedge2(observations: list[Matrix], more, ext) -> Matrix:
+def _calibrate_wedge2(observations: list[Matrix], more, ext) -> list[int]:
     """d=4, k=2: every column of a genuine image satisfies the single
     quadratic relation among complementary entry products, with fixed
     coefficients determined by the frame. Solving the resulting linear
@@ -426,20 +419,20 @@ def _calibrate_wedge2(observations: list[Matrix], more, ext) -> Matrix:
             g1, g2, g3 = ker[0]
             if not (g1 and g2 and g3):
                 raise _Degenerate("degenerate quadratic relation coefficients")
-            th = [1, 1, 1, ext.div(g1, g3), ext.div(g1, g2), 1]
-            return _diag(ext, th)
+            return [1, 1, 1, ext.div(g1, g3), ext.div(g1, g2), 1]
         if len(ker) == 0 or extra >= OBSERVATION_CAP:
             raise _Degenerate("quadratic relation system has no unique solution")
         add(more())
         extra += 1
 
 
-def _calibrate(factor: FactorSpec, spec: ModuleSpec, observations: list[Matrix], more, ext) -> Matrix:
+def _calibrate(factor: FactorSpec, spec: ModuleSpec, observations: list[Matrix], more, ext) -> list[int]:
+    """Diagonal entries theta that make every O[i, j] * theta_j / theta_i a functor image."""
     d = spec.d
     if factor.kind == "nat" or factor.k == 1 or (factor.kind == "ext" and factor.k == d - 1):
         # Identity and top-minor functors hit every diagonal from the torus
         # (for k = d-1 because gcd(d, d-1) = 1), so nothing to correct.
-        return Matrix.identity(ext, dim(spec))
+        return [1] * dim(spec)
     if factor.kind == "sym":
         return _calibrate_sym(factor.k, d, observations, more, ext)
     return _calibrate_wedge2(observations, more, ext)
@@ -542,8 +535,10 @@ def _rescale_columns(N: Matrix, X: Matrix, FX: Matrix, pairs: list[tuple[int, in
         if len(nz) == 0:
             raise _Degenerate("candidate functor image has a zero column")
         ratio[c] = ext.div(int(N.a[nz[0], c]), int(FX.a[nz[0], c]))
+        if not ratio[c]:
+            raise _Degenerate("observation is zero where the candidate's functor image is not")
     scales = [1] + [ext.div(ratio[b], ratio[a]) for a, b in pairs]
-    return _normalize_first(X @ _diag(ext, scales))
+    return _normalize_first(X.scale([scales]))
 
 
 def reconstruct_generator(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
@@ -551,7 +546,15 @@ def reconstruct_generator(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
     leading entry 1. The result is exact up to that scalar. A diagonal N
     (a group inside the torus the frame splits) needs no special case: the
     sym and wedge schemes rebuild X = I and read the diagonal preimage off
-    label ratios."""
+    label ratios.
+
+    On N = mu * F(B), B invertible, this never raises and returns B
+    normalized: a column of B is nonzero, so its pure power has a nonzero
+    pure entry (sym), and k < d independent columns meet, over the k-sets
+    holding column i, in column i's line (wedge); so X = B diag(s), all s_j
+    nonzero, and every label ratio is mu / prod s_j. A _Degenerate thus means
+    N is no genuine image, and since the frame does not depend on the
+    preimages, no preimages could pass verification."""
     if factor.kind == "nat" or factor.k == 1:
         return _normalize_first(N)
     if factor.kind == "sym":
@@ -559,12 +562,6 @@ def reconstruct_generator(N: Matrix, factor: FactorSpec, d: int) -> Matrix:
     if factor.k >= d:
         raise UnsupportedFactor("top exterior power is a scalar; no preimage to read")
     return _extract_wedge(N, factor.k, d)
-
-
-def _is_diagonal(M: Matrix) -> bool:
-    off = M.a.copy()
-    np.fill_diagonal(off, 0)
-    return not off.any()
 
 
 # ---------------------------------------------------------------------------
@@ -637,40 +634,6 @@ def verify_projective(
 # ---------------------------------------------------------------------------
 
 
-def _word_matrix(epubs: list[Matrix], rng: random.Random) -> Matrix:
-    return word_products(epubs, _draw_words(rng, len(epubs), 1))[0]
-
-
-def _extract_with_fallback(
-    x_index: int,
-    observations: list[Matrix],
-    factor: FactorSpec,
-    d: int,
-    theta: Matrix,
-    theta_inv: Matrix,
-    mhat,
-    epubs: list[Matrix],
-    rng: random.Random,
-) -> Matrix:
-    """Direct extraction, else multiply by words y whose own extraction
-    works and divide: preimages multiply projectively, so A_x follows from
-    A_{xy} and A_y."""
-    calibrated = lambda O: theta_inv @ O @ theta
-    try:
-        return reconstruct_generator(calibrated(observations[x_index]), factor, d)
-    except _Degenerate:
-        pass
-    for _ in range(8):
-        y = _word_matrix(epubs, rng)
-        try:
-            ay = reconstruct_generator(calibrated(mhat(y)), factor, d)
-            axy = reconstruct_generator(calibrated(mhat(epubs[x_index] @ y)), factor, d)
-            return _normalize_first(axy @ ay.inv())
-        except (_Degenerate, SingularMatrix):
-            continue
-    raise _Degenerate("preimage extraction failed even through products")
-
-
 def rewrite(
     spec: ModuleSpec,
     publics: list[Matrix],
@@ -695,18 +658,19 @@ def rewrite(
             raise InvalidInput("generator images must be over the base field")
         if g.shape != (n, n):
             raise InvalidInput(f"generator shape {g.shape} does not match module dimension {n}")
-        if not g.is_invertible():
-            raise InvalidInput("generator images must be invertible")
 
     ext = ctx.ext
     e_back = (-factor.twist) % ctx.d
     rng = random.Random(repr(("rewrite", ctx.p, ctx.f, ctx.d, spec.text(), cfg.rng_seed)))
-    sampler = ElementSampler(publics, rng)
+    try:  # the sampler inverts every generator, once
+        sampler = ElementSampler(publics, rng)
+    except SingularMatrix as exc:
+        raise InvalidInput("generator images must be invertible") from exc
     epubs = [embed_matrix(ctx, g) for g in publics]
 
     # Element search owns the whole trial budget, tracked globally across
-    # attempts; reconstruction retries are rare (they need an unlucky zero
-    # pattern) so a small fixed cap suffices for them.
+    # attempts; the attempt cap only bounds how often a found candidate's
+    # frame may degenerate or fail verification.
     reason = "no cyclically regular element found within budget"
     for attempt in range(8):
         remaining = cfg.max_element_trials - stats.elements_sampled
@@ -728,21 +692,21 @@ def rewrite(
                 return twist_matrix(C0 @ m_ext @ c0inv, ctx.q, e_back)
 
             def more() -> Matrix:
-                return mhat(_word_matrix(epubs, rng))
+                return mhat(word_products(epubs, _draw_words(rng, len(epubs), 1))[0])
 
             observations = [mhat(m) for m in epubs]
-            if all(_is_diagonal(O) for O in observations):
+            if all(np.count_nonzero(O.a) == np.count_nonzero(O.a.diagonal()) for O in observations):
                 # The group sits inside the torus this frame splits; the
                 # correction is unconstrained and unnecessary, so none is made.
-                theta = Matrix.identity(ext, n)
+                theta = [1] * n
             else:
                 theta = _calibrate(factor, spec, observations, more, ext)
-            theta_inv = theta.inv()
+            # N = O[i, j] * theta_j / theta_i entrywise; C = twist(diag theta)^-1 @ C0 by rows
+            row_factors = np.array([ext.inv(t) for t in theta])[:, None]
             preimages = tuple(
-                _extract_with_fallback(i, observations, factor, ctx.d, theta, theta_inv, mhat, epubs, rng)
-                for i in range(len(publics))
+                reconstruct_generator(O.scale(row_factors).scale([theta]), factor, ctx.d) for O in observations
             )
-            C = twist_matrix(theta, ctx.q, factor.twist).inv() @ C0
+            C = C0.scale(twist_matrix(Matrix(ext, row_factors), ctx.q, factor.twist).a)
             ver = verify_projective(spec, ctx, publics, C, preimages, rng=rng)
             if isinstance(ver, Refuted):
                 raise _Degenerate(f"verification rejected the attempt: {ver.detail}")

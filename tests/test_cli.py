@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 import singerlab
 from singerlab.cli import main
+from singerlab.ffield import field_ctx
+from singerlab.instgen import gen_instance, save_instance, tamper
+from singerlab.schur import parse_module_spec
 
 
 def run(capsys, *argv):
@@ -178,6 +181,28 @@ def test_verify_rejects_mismatched_files(instance_path, tmp_path, capsys):
     result = str(tmp_path / "res.json")
     main(["rewrite", "--in", instance_path, "--seed", "1", "--out", result])
     assert main(["verify", "--in", other, "--result", result]) == 1
+
+
+def test_rewrite_of_a_singular_generator_exits_one(instance_path, capsys):
+    data = json.loads(open(instance_path).read())
+    data["generators"][1][0] = [0] * len(data["generators"][1][0])
+    with open(instance_path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["rewrite", "--in", instance_path]) == 1
+    assert capsys.readouterr().err.startswith("error: generator images must be invertible")
+
+
+def test_rewrite_reports_failure_where_an_observation_ratio_is_zero(tmp_path, capsys):
+    """This tampered instance drives extraction to a zero observation ratio;
+    rewrite used to exit 1 with "error: inverse of zero in F_5^3"."""
+    path = str(tmp_path / "tampered.json")
+    ctx = field_ctx(5, 1, 3)
+    spec = parse_module_spec("sym(2)@0", q=5, d=3)
+    save_instance(tamper(gen_instance(ctx, spec, 2, seed=20), seed=20), path)
+    code, out = run(capsys, "rewrite", "--in", path, "--seed", "20")
+    assert code == 3
+    assert out.startswith("failure: ")
 
 
 def test_malformed_instance_exits_one(tmp_path, capsys):

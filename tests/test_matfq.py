@@ -360,6 +360,35 @@ def test_functor_results_do_not_share_cached_index_plans(functor):
         assert functor(A, k) == want_a and functor(B, k) == want_b
 
 
+def _dense_diag(F, values):
+    D = Matrix.zeros(F, len(values), len(values))
+    D.a[range(len(values)), range(len(values))] = values
+    return D
+
+
+@pytest.mark.parametrize(
+    "F", [F7, Field(3, 8), F17_4, Field(P61, 3)], ids=["F7", "F3^8", "F17^4", "F(2^61-1)^3"]
+)
+def test_scale_by_row_or_column_factors_matches_dense_diagonal_products(F):
+    """scale takes one code, an (r, 1) column of row factors or a (1, c) row
+    of column factors. Codes are int64, so on F_{(2^61-1)^3} entries come
+    from the prime subfield (codes below p, where products stay); its digit
+    sums still need Python ints."""
+    rng = random.Random(F.m)
+    top = F.p if F.order >= 2**63 else F.order
+    for r, c in [(3, 5), (4, 4), (1, 6), (5, 1)]:
+        M = Matrix.from_rows(F, [[rng.randrange(top) for _ in range(c)] for _ in range(r)])
+        rows, cols = [rng.randrange(top) for _ in range(r)], [rng.randrange(top) for _ in range(c)]
+        k = rng.randrange(top)
+        assert M.scale([[x] for x in rows]) == _dense_diag(F, rows) @ M
+        assert M.scale([cols]) == M @ _dense_diag(F, cols)
+        assert M.scale(k) == M.scale([[k]]) == _dense_diag(F, [k] * r) @ M
+    M = rand_matrix(F7, 3, 1)
+    for bad in ([[1]] * 4, [[1] * 4], [[1] * 3] * 3, [1, 2, 3]):
+        with pytest.raises(ShapeMismatch):
+            M.scale(bad)
+
+
 @pytest.mark.parametrize("F", [F7, F17_4, F61], ids=["F7", "F17^4", "F2^61-1"])
 def test_word_products_match_sequential_chains(F):
     gens = [rand_matrix(F, 4, seed) for seed in range(3)]

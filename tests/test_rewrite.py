@@ -20,7 +20,15 @@ from singerlab.errors import (
 )
 from singerlab.ffield import factor_poly, field_ctx, poly_deg
 from singerlab.instgen import gen_instance, tamper
-from singerlab.matfq import Matrix, char_poly, embed_matrix, kernel_basis, proportional, random_invertible
+from singerlab.matfq import (
+    Matrix,
+    char_poly,
+    companion_matrix,
+    embed_matrix,
+    kernel_basis,
+    proportional,
+    random_invertible,
+)
 from singerlab.rewrite import (
     VERIFICATION_WORDS,
     ElementSampler,
@@ -36,7 +44,7 @@ from singerlab.rewrite import (
     rewrite,
     verify_projective,
 )
-from singerlab.schur import aggregated_patterns, dim, induced_matrix, model_spectrum, parse_module_spec
+from singerlab.schur import aggregated_patterns, dim, induced_matrix, model_spectrum, parse_module_spec, twist_matrix
 from singerlab.singer import make_singer, spectrum_on_module
 
 CTX73 = field_ctx(7, 1, 3)
@@ -579,3 +587,124 @@ def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch
     monkeypatch.setattr(rw, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
     assert build_eigenbasis(ctx, w, spec, s.omega).tolist() == want
     assert len(calls) == len(orbits) < len(lams)
+
+
+# -- the exact frame: theta as a vector, extraction without a fallback ----------------
+
+
+def _dense_diag(F, values):
+    D = Matrix.zeros(F, len(values), len(values))
+    D.a[range(len(values)), range(len(values))] = values
+    return D
+
+
+@pytest.mark.parametrize(
+    "p,f,d,text",
+    [(17, 1, 4, "sym(2)"), (7, 1, 3, "sym(3)"), (3, 2, 4, "ext(2)"), (7, 1, 3, "sym(2)@1")],
+    ids=["sym2_q17_d4", "sym3_q7_d3", "ext2_q9_d4", "sym2tw_q7_d3"],
+)
+def test_vector_calibration_matches_a_dense_diagonal_reference(p, f, d, text, monkeypatch):
+    """rewrite calibrates each observation entrywise, O[i, j] * theta_j /
+    theta_i, and folds theta into the frame by scaling the rows of C0. A
+    dense diag(theta), inverted by elimination, gives the same calibrated
+    observations and the same frame twist(diag theta)^-1 @ C0."""
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=ctx.q, d=d)
+    factor = spec.factors[0]
+    publics, _, _ = planted(ctx, spec, seed=3)
+    rw = importlib.import_module("singerlab.rewrite")
+    seen = {}
+
+    def spy(name, keep):
+        original = getattr(rw, name)
+
+        def wrapped(*args):
+            out = original(*args)
+            keep(args, out)
+            return out
+
+        monkeypatch.setattr(rw, name, wrapped)
+
+    spy("build_eigenbasis", lambda args, C0: seen.update(C0=C0, N=[]))
+    spy("_calibrate", lambda args, theta: seen.update(observations=list(args[2]), theta=theta))
+    spy("reconstruct_generator", lambda args, _: seen["N"].append(args[0]))
+    res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=1))
+    assert isinstance(res, RewriteResult)
+
+    theta, n = seen["theta"], dim(spec)
+    assert len(theta) == n and all(theta) and set(theta) != {1}
+    Theta = _dense_diag(ctx.ext, theta)
+    assert seen["N"] == [Theta.inv() @ O @ Theta for O in seen["observations"]]
+    assert res.C == twist_matrix(Theta, ctx.q, factor.twist).inv() @ seen["C0"]
+
+
+def _normalized(M):
+    lead = next(int(x) for x in M.a.ravel() if x)
+    return M.scale(M.field.inv(lead))
+
+
+def _sparse_invertibles(F, d, rng):
+    """A permutation times a diagonal, an upper triangular and a companion matrix."""
+    nonzero = lambda: rng.randrange(1, F.order)
+    PD = Matrix.zeros(F, d, d)
+    for i, j in enumerate(rng.sample(range(d), d)):
+        PD.a[i, j] = nonzero()
+    U = Matrix.zeros(F, d, d)
+    for i in range(d):
+        U.a[i, i] = nonzero()
+        U.a[i, i + 1 :] = [rng.randrange(F.order) for _ in range(d - 1 - i)]
+    comp = companion_matrix(F, [nonzero()] + [rng.randrange(F.order) for _ in range(d - 1)] + [1])
+    return [PD, U, comp]
+
+
+@pytest.mark.parametrize("text", ["nat", "sym(2)", "sym(3)", "ext(2)", "ext(3)"])
+def test_extraction_never_fails_on_a_genuine_image(text):
+    """reconstruct_generator on mu * F(t^-1 B t), with B invertible and t in
+    the torus, returns t^-1 B t normalized: the docstring's argument, which is
+    why rewrite ends an attempt on an extraction failure instead of trying
+    word products. Sparse B gives images full of zeros."""
+    ctx = field_ctx(7, 1, 4)
+    ext = ctx.ext
+    spec = spec_of(text, d=4)
+    rng = random.Random(repr(("genuine", text)))
+    Bs = [random_invertible(ext, 4, rng) for _ in range(6)]
+    for _ in range(4):
+        Bs += _sparse_invertibles(ext, 4, rng)
+    for B in Bs:
+        t = [rng.randrange(1, ext.order) for _ in range(4)]
+        A = _dense_diag(ext, [ext.inv(x) for x in t]) @ B @ _dense_diag(ext, t)
+        N = induced_matrix(spec, A).scale(rng.randrange(1, ext.order))
+        assert reconstruct_generator(N, spec.factors[0], 4) == _normalized(A)
+
+
+def test_a_zero_observation_ratio_ends_the_attempt(monkeypatch):
+    """On this tampered instance an observation is zero where the extracted
+    candidate's image is not. Rescaling used to divide by that zero and let
+    DivisionByZero escape rewrite; now the attempt ends and rewrite reports
+    a Failure."""
+    ctx = field_ctx(5, 1, 3)
+    spec = spec_of("sym(2)@0", q=5, d=3)
+    inst = tamper(gen_instance(ctx, spec, 2, seed=20), seed=20)
+    rw = importlib.import_module("singerlab.rewrite")
+    raised = []
+
+    def spy(*args):
+        try:
+            return reconstruct_generator(*args)
+        except rw._Degenerate as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(rw, "reconstruct_generator", spy)
+    res = rewrite(spec, list(inst.generators), ctx, RewriteConfig(rng_seed=20))
+    assert isinstance(res, Failure)
+    assert any("zero where" in r for r in raised)
+
+
+def test_rejects_a_singular_generator():
+    spec = spec_of("sym(2)")
+    publics, _, _ = planted(CTX73, spec, seed=0)
+    singular = publics[1].copy()
+    singular.a[2] = 0
+    with pytest.raises(InvalidInput, match="generator images must be invertible"):
+        rewrite(spec, [publics[0], singular], CTX73, RewriteConfig())
