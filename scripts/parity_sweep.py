@@ -16,6 +16,7 @@ runs of the same code.
 
 import hashlib
 import json
+from typing import Iterator
 
 from singerlab import (
     RewriteConfig,
@@ -70,14 +71,19 @@ def case_line(p: int, f: int, text: str, seed: int, planted: bool) -> str:
     )
 
 
-def main() -> None:
-    total = hashlib.sha256()
+def case_lines() -> Iterator[str]:
+    """Every case line, in sweep order."""
     for p, f, text in SPECS:
         for seed in SEEDS:
             for planted in (True, False):
-                line = case_line(p, f, text, seed, planted)
-                print(line, flush=True)
-                total.update(line.encode() + b"\n")
+                yield case_line(p, f, text, seed, planted)
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    for line in case_lines():
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
     print(f"combined {total.hexdigest()}")
 
 

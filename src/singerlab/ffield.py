@@ -181,10 +181,11 @@ class Field:
         for _ in range(3 * m - 3):
             top = xpow[-1][-1]
             xpow.append(tuple((c - top * g) % p for c, g in zip((0,) + xpow[-1][:-1], self.modulus)))
-        # read-only arrays for the matrix kernel and the quotient ring: the weights,
-        # the (3m-2, m) digits of x^k, and the (m, m^2) reduction matrix whose
-        # column i*m + j is x^(i+j)
-        self.weights, self.powers = np.array(self._weights), np.array(xpow, dtype=np.int64)
+        # read-only arrays for the matrix kernel and the quotient ring: the weights
+        # (Python ints once a code can reach 2^63), the (3m-2, m) digits of x^k,
+        # and the (m, m^2) reduction matrix whose column i*m + j is x^(i+j)
+        self.weights = np.array(self._weights, dtype=np.int64 if self.order <= 2**63 else object)
+        self.powers = np.array(xpow, dtype=np.int64)
         self.reduction = self.powers[np.add.outer(np.arange(m), np.arange(m)).ravel()].T
         self.weights.flags.writeable = self.powers.flags.writeable = self.reduction.flags.writeable = False
         # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
@@ -197,7 +198,7 @@ class Field:
         self._log: dict[int, int] | None = None
         self._generator: int | None = None
         # x^(j p^k) for k = 1..m-1, packed (scalars) and as (m, m) digit matrices
-        # (arrays): row j of the F_p-linear p^k-power Frobenius
+        # (for matfq.frobenius_matrix): row j of the F_p-linear p^k-power Frobenius
         self._frob_rows: list[list[int]] = []
         self._frob_maps: list[np.ndarray] = []
         if m > 1:
@@ -326,16 +327,6 @@ class Field:
             t += (a % p) * row
             a //= p
         return self._unpack(t)
-
-    def frobenius_array(self, a: np.ndarray, k: int) -> np.ndarray:
-        """frobenius on every entry of an int64 code array, as one digit-matrix product."""
-        k %= self.m
-        if k == 0:
-            return a.copy()
-        dt, p = digit_dtype(self.p, self.m), self.p
-        w = self.weights.astype(dt)
-        D = a.astype(dt)[..., None] // w % p
-        return (D @ self._frob_maps[k - 1] % p @ w).astype(np.int64)
 
     # -- generator / tables --------------------------------------------------
 
@@ -738,9 +729,8 @@ class FieldCtx:
         self.ext = Field(p, f * d)
         self._embed_inverse: dict[int, int] = {}
         if f > 1:  # a prime base field embeds as the identity on codes, with no table
-            self._embed_codes = np.array(self._build_embedding(), dtype=np.int64)
-            self._embed_codes.flags.writeable = False
-            self._embed_inverse = {int(v): c for c, v in enumerate(self._embed_codes)}
+            self._embed_codes = self._build_embedding()
+            self._embed_inverse = {v: c for c, v in enumerate(self._embed_codes)}
 
     def _build_embedding(self) -> list[int]:
         """The image of every base code, in code order. The base modulus is
@@ -757,13 +747,7 @@ class FieldCtx:
         """Ring embedding F_q -> F_{q^d} on codes."""
         if not 0 <= a < self.q:
             raise InvalidInput(f"base code {a} is out of range for F_{self.q}")
-        return a if self.f == 1 else int(self._embed_codes[a])
-
-    def embed_array(self, a: np.ndarray) -> np.ndarray:
-        """embed on every entry of an int64 array of base codes, by one table lookup."""
-        if ((a < 0) | (a >= self.q)).any():
-            raise InvalidInput(f"a base code is out of range for F_{self.q}")
-        return a.copy() if self.f == 1 else self._embed_codes[a]
+        return a if self.f == 1 else self._embed_codes[a]
 
     def unembed(self, a: int) -> int:
         """Inverse of embed on its image; raises if a is not in the image."""

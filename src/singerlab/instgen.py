@@ -96,15 +96,16 @@ def tamper(inst: PlantedInstance, seed: int = 0) -> PlantedInstance:
     rng = random.Random(repr(("tamper", inst.p, inst.f, inst.d, seed)))
     base = inst.generators[0].field
     gi = rng.randrange(len(inst.generators))
-    n = inst.generators[gi].shape[0]
+    rows = inst.generators[gi].tolist()
+    n = len(rows)
     for _ in range(1000):
-        m = inst.generators[gi].copy()
         i, j = rng.randrange(n), rng.randrange(n)
-        old = int(m.a[i, j])
         new = rng.randrange(base.order)
-        if new == old:
+        if new == rows[i][j]:
             continue
-        m.a[i, j] = new
+        edited = [r[:] for r in rows]
+        edited[i][j] = new
+        m = Matrix.from_rows(base, edited)
         if m.is_invertible() and m != inst.generators[gi]:
             gens = list(inst.generators)
             gens[gi] = m

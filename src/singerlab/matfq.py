@@ -1,14 +1,16 @@
 """Dense exact linear algebra over the fields in ffield.
 
-Matrices hold element codes (as in ffield) in an int64 numpy array. All
-bulk arithmetic runs on the base-p digit tensor of shape (m, rows, cols):
-sums are digitwise mod p, and a product is the batch of m^2 F_p products
-of digit planes, folded back to m digits by Field.reduction, whose column
-i*m + j holds x^(i+j) mod the field's modulus. Prime fields are
-m = 1. When a sum of products could reach 2^63 the same code runs on
-Python-int object arrays. Elimination does one vectorized rank-1 update
-per pivot, and pivots are always the first nonzero entry in scan order,
-so every result is deterministic.
+A Matrix holds the base-p digit tensor of its entries' codes (as in
+ffield), shape (m, rows, cols); codes are converted only at the boundary
+(from_rows, scale, .a, tolist, scalar reads of pivots and entries). Sums
+are digitwise mod p, and a product is the batch of m^2 F_p products of
+digit planes, folded back to m digits by Field.reduction, whose column
+i*m + j holds x^(i+j) mod the field's modulus. Frobenius and the tower
+embedding are F_p-linear maps on the digit axis. Prime fields are m = 1.
+When a sum of products could reach 2^63 it runs on Python-int object
+arrays. Elimination does one vectorized rank-1 update per pivot, and pivots
+are always the first nonzero entry in scan order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -39,24 +41,29 @@ def _dtype(F: Field, inner: int = 1):
     return digit_dtype(F.p, max(inner, F.m * F.m))
 
 
-def _split(F: Field, a, dt) -> np.ndarray:
+def _widen(F: Field, D: np.ndarray, inner: int) -> np.ndarray:
+    """D in the dtype a sum of `inner` digit products needs."""
+    return D.astype(_dtype(F, inner), copy=False)
+
+
+def _split(F: Field, a) -> np.ndarray:
     """Codes to digits, the digit axis first."""
-    a = np.asarray(a).astype(dt)
-    w = F.weights.astype(dt).reshape((-1,) + (1,) * a.ndim)
-    return a[None] // w % F.p
+    a = np.asarray(a, dtype=F.weights.dtype)
+    w = F.weights.reshape((-1,) + (1,) * a.ndim)
+    return (a[None] // w % F.p).astype(_dtype(F), copy=False)
 
 
 def _join(F: Field, D: np.ndarray) -> np.ndarray:
-    """Digits back to int64 codes."""
-    return (F.weights @ D.reshape(F.m, -1)).reshape(D.shape[1:]).astype(np.int64)
+    """Digits back to codes: int64, or Python ints when a code can reach 2^63."""
+    return (F.weights @ D.reshape(F.m, -1)).reshape(D.shape[1:]).astype(F.weights.dtype, copy=False)
 
 
 def _fold(F: Field, P: np.ndarray) -> np.ndarray:
     """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), to digits."""
     if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
-        return P[0] % F.p
+        return (P[0] % F.p).astype(_dtype(F), copy=False)
     flat = (P % F.p).reshape(F.m * F.m, -1)
-    return (F.reduction @ flat % F.p).reshape(P.shape[1:])
+    return (F.reduction @ flat % F.p).reshape(P.shape[1:]).astype(_dtype(F), copy=False)
 
 
 def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -64,15 +71,15 @@ def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _fold(F, X[:, None] * Y[None])
 
 
-def _sub_outer(F: Field, D: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D - u * v in digits, u and v broadcasting to D (a rank-1 update)."""
-    return (D - _mul(F, u, v)) % F.p
-
-
 def _first_nonzero(col: np.ndarray) -> int | None:
     """Index of the first nonzero element in a digit column (m, k)."""
     nz = (col != 0).any(0).nonzero()[0]
     return int(nz[0]) if len(nz) else None
+
+
+def _inverse(F: Field, v: np.ndarray) -> np.ndarray:
+    """The digits of 1/x for the digits v of a nonzero entry x, read as a scalar."""
+    return np.array(F.decode(F.inv(F.encode(v.tolist()))), dtype=v.dtype)
 
 
 def read_int(x, what: str = "value") -> int:
@@ -84,10 +91,11 @@ def read_int(x, what: str = "value") -> int:
 
 @dataclass
 class Matrix:
-    """A matrix of element codes over a fixed field."""
+    """A matrix over a fixed field, held as the (m, rows, cols) digit tensor
+    of its entries."""
 
     field: Field
-    a: np.ndarray
+    D: np.ndarray
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Matrix":
@@ -100,43 +108,47 @@ class Matrix:
         for x in arr.flat:
             if not 0 <= read_int(x, "matrix entry") < min(field.order, 2**63):
                 raise InvalidInput("entry code out of range for the field")
-        return Matrix(field, arr.astype(np.int64))
+        return Matrix(field, _split(field, arr))
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix(field, np.zeros((r, c), dtype=np.int64))
+        return Matrix(field, np.zeros((field.m, r, c), dtype=_dtype(field)))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, np.eye(n, dtype=np.int64))
+        M = Matrix.zeros(field, n, n)
+        M.D[0, range(n), range(n)] = 1
+        return M
+
+    @property
+    def a(self) -> np.ndarray:
+        """The element codes, built from the digits on each read. The array is
+        read-only: a write to it could not reach the matrix."""
+        a = _join(self.field, self.D)
+        a.flags.writeable = False
+        return a
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.a.shape
+        return self.D.shape[1:]
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.a.copy())
+        return Matrix(self.field, self.D.copy())
 
     def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.a]
+        return self.a.tolist()
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool((self.a == other.a).all())
+            and self.shape == other.shape
+            and bool((self.D == other.D).all())
         )
 
     def _peer(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
-
-    def _digits(self, inner: int = 1) -> np.ndarray:
-        return _split(self.field, self.a, _dtype(self.field, inner))
-
-    def _from_digits(self, D: np.ndarray) -> "Matrix":
-        return Matrix(self.field, _join(self.field, D))
 
     # -- ring operations ----------------------------------------------------
 
@@ -144,7 +156,7 @@ class Matrix:
         self._peer(other)
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        return self._from_digits(op(self._digits(), other._digits()) % self.field.p)
+        return Matrix(self.field, op(self.D, other.D) % self.field.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, np.add)
@@ -153,7 +165,7 @@ class Matrix:
         return self._entrywise(other, np.subtract)
 
     def __neg__(self) -> "Matrix":
-        return self._from_digits(-self._digits() % self.field.p)
+        return Matrix(self.field, -self.D % self.field.p)
 
     def scale(self, c) -> "Matrix":
         """Entrywise product with c: one code, an (r, 1) column of row factors
@@ -161,16 +173,15 @@ class Matrix:
         c = np.reshape(c, (1, 1)) if np.ndim(c) == 0 else np.asarray(c)
         if c.shape not in ((1, 1), (self.shape[0], 1), (1, self.shape[1])):
             raise ShapeMismatch(f"cannot scale a {self.shape} matrix by {c.shape} factors")
-        X = self._digits()
-        return self._from_digits(_mul(self.field, _split(self.field, c, X.dtype), X))
+        return Matrix(self.field, _mul(self.field, _split(self.field, c), self.D))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._peer(other)
-        k = self.shape[1]
+        F, k = self.field, self.shape[1]
         if k != other.shape[0]:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        X, Y = self._digits(k), other._digits(k)
-        return self._from_digits(_fold(self.field, X[:, None] @ Y[None]))
+        X, Y = _widen(F, self.D, k), _widen(F, other.D, k)
+        return Matrix(F, _fold(F, X[:, None] @ Y[None]))
 
     def pow(self, e: int) -> "Matrix":
         n, n2 = self.shape
@@ -188,14 +199,14 @@ class Matrix:
         return Matrix.identity(self.field, n) if result is None else result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T.copy())
+        return Matrix(self.field, self.D.transpose(0, 2, 1).copy())
 
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         F = self.field
-        D = self._digits()
+        D = self.D.copy()
         r, c = self.shape
         pivots: list[int] = []
         for col in range(c):
@@ -206,44 +217,31 @@ class Matrix:
             if piv is None:
                 continue
             D[:, [row, row + piv]] = D[:, [row + piv, row]]
-            inv = _split(F, F.inv(int(_join(F, D[:, row, col]))), D.dtype)
-            D[:, row, col:] = _mul(F, inv[:, None], D[:, row, col:])
+            D[:, row, col:] = _mul(F, _inverse(F, D[:, row, col])[:, None], D[:, row, col:])
             t = D[:, :, col].copy()
             t[:, row] = 0
-            D[:, :, col:] = _sub_outer(F, D[:, :, col:], t[:, :, None], D[:, None, row, col:])
+            D[:, :, col:] = (D[:, :, col:] - _mul(F, t[:, :, None], D[:, None, row, col:])) % F.p
             pivots.append(col)
-        return self._from_digits(D), pivots
+        return Matrix(F, D), pivots
 
     def det(self) -> int:
+        """(-1)^n times the constant term of the characteristic polynomial."""
         n, n2 = self.shape
         if n != n2:
             raise ShapeMismatch("determinant needs a square matrix")
-        F = self.field
-        D = self._digits()
-        det = 1
-        for col in range(n):
-            piv = _first_nonzero(D[:, col:, col])
-            if piv is None:
-                return 0
-            if piv:
-                D[:, [col, col + piv]] = D[:, [col + piv, col]]
-                det = F.neg(det)
-            pval = int(_join(F, D[:, col, col]))
-            det = F.mul(det, pval)
-            t = _mul(F, D[:, col + 1 :, col], _split(F, F.inv(pval), D.dtype)[:, None])
-            D[:, col + 1 :, col:] = _sub_outer(F, D[:, col + 1 :, col:], t[:, :, None], D[:, None, col, col:])
-        return det
+        c0 = char_poly(self)[0]
+        return self.field.neg(c0) if n % 2 else c0
 
     def inv(self) -> "Matrix":
         n, n2 = self.shape
         if n != n2:
             raise ShapeMismatch("inverse needs a square matrix")
         F = self.field
-        aug = np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1)
+        aug = np.concatenate([self.D, Matrix.identity(F, n).D], axis=2)
         red, pivots = Matrix(F, aug).rref()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is not invertible")
-        return Matrix(F, red.a[:, n:].copy())
+        return Matrix(F, red.D[:, :, n:].copy())
 
     def is_invertible(self) -> bool:
         n, n2 = self.shape
@@ -252,13 +250,10 @@ class Matrix:
 
 def proportional(L: Matrix, R: Matrix) -> int | None:
     """The nonzero scalar mu with L == mu * R, or None. Zero patterns must agree."""
-    if L.shape != R.shape:
+    if L.shape != R.shape or not R.D.any():
         return None
-    nz = R.a.ravel().nonzero()[0]
-    if len(nz) == 0:
-        return None
-    i = int(nz[0])
-    mu = L.field.div(int(L.a.ravel()[i]), int(R.a.ravel()[i]))
+    i, j = np.argwhere(R.D.any(0))[0]
+    mu = L.field.div(L.field.encode(L.D[:, i, j].tolist()), R.field.encode(R.D[:, i, j].tolist()))
     if mu == 0:
         return None
     return mu if L == R.scale(mu) else None
@@ -267,9 +262,26 @@ def proportional(L: Matrix, R: Matrix) -> int | None:
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, left factor major: entry ((i,k),(j,l)) = A[i,j] B[k,l]."""
     A._peer(B)
-    (ra, ca), (rb, cb) = A.shape, B.shape
-    D = _mul(A.field, A._digits()[:, :, None, :, None], B._digits()[:, None, :, None, :])
-    return Matrix(A.field, _join(A.field, D).reshape(ra * rb, ca * cb))
+    F, (ra, ca), (rb, cb) = A.field, A.shape, B.shape
+    D = _mul(F, A.D[:, :, None, :, None], B.D[:, None, :, None, :])
+    return Matrix(F, D.reshape(F.m, ra * rb, ca * cb))
+
+
+def vstack(blocks: list[Matrix]) -> Matrix:
+    """The blocks' rows, top to bottom."""
+    for b in blocks:
+        blocks[0]._peer(b)
+    return Matrix(blocks[0].field, np.concatenate([b.D for b in blocks], axis=1))
+
+
+def frobenius_matrix(M: Matrix, k: int) -> Matrix:
+    """M with every entry raised to the power p^k, k reduced mod m: the
+    F_p-linear digit map Field._frob_maps, whose row j is x^(j p^k)."""
+    F = M.field
+    k %= F.m
+    if k == 0:
+        return M.copy()
+    return Matrix(F, (F._frob_maps[k - 1].T @ M.D.reshape(F.m, -1) % F.p).reshape(M.D.shape))
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +306,14 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
     pair at once."""
     F = A.field
     r, c = A.shape
-    X = M = A._digits(k)  # M: the minors of the current size, 1 x 1 first
+    X, M = _widen(F, A.D, k), A.D.copy()  # M: the minors of the current size, 1 x 1 first
     for s in range(2, k + 1):
         first, rest, at, drop = _compound_plan(r, c, s)
         # term j: A[R[0], C[j]] * (-1)^j * minor(R[1:], C without C[j])
         head, tail = X[:, first, at], M[:, rest, drop]
         tail[..., 1::2] = -tail[..., 1::2] % F.p
         M = _fold(F, (head[:, None] * tail[None]).sum(-1))
-    return Matrix(F, _join(F, M))
+    return Matrix(F, M)
 
 
 def _multisets(n: int, s: int) -> list[tuple[int, ...]]:
@@ -342,12 +354,12 @@ def symmetric_power(A: Matrix, k: int) -> Matrix:
     if k >= F.p:
         raise UnsupportedFactor(f"sym({k}) needs k < characteristic {F.p}")
     r, c = A.shape
-    X = Q = A._digits(r)
+    X, Q = _widen(F, A.D, r), A.D
     for s in range(2, k + 1):
         drop, last, rest = _sym_plan(r, c, s)
         Qz = np.concatenate([Q, 0 * Q[:, :1]], axis=1)
         Q = _fold(F, (X[:, None, :, None, last] * Qz[None, :, drop, rest]).sum(2))
-    return Matrix(F, _join(F, Q * _sym_ratio(r, c, k, F.p).astype(Q.dtype, copy=False) % F.p))
+    return Matrix(F, Q * _sym_ratio(r, c, k, F.p).astype(Q.dtype, copy=False) % F.p)
 
 
 def word_products(gens: list[Matrix], words) -> list[Matrix]:
@@ -357,14 +369,14 @@ def word_products(gens: list[Matrix], words) -> list[Matrix]:
     F, n, pad = gens[0].field, gens[0].shape[0], len(gens)
     for g in gens:
         gens[0]._peer(g)
-    G = _split(F, np.stack([g.a for g in gens] + [np.eye(n, dtype=np.int64)]), _dtype(F, n))
+    G = np.stack([g.D for g in gens] + [Matrix.identity(F, n).D], axis=1)
     width = max([1, *map(len, words)])
     W = np.array([[*w] + [pad] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
-    P = G[:, W[:, 0]]
+    P, G = G[:, W[:, 0]], _widen(F, G, n)
     for j in range(1, width):
         on = W[:, j] != pad
         P[:, on] = _fold(F, P[:, None, on] @ G[None, :, W[on, j]])
-    return [Matrix(F, a) for a in _join(F, P)]
+    return [Matrix(F, D) for D in np.moveaxis(P, 1, 0)]
 
 
 def kernel_basis(A: Matrix) -> list[list[int]]:
@@ -375,11 +387,10 @@ def kernel_basis(A: Matrix) -> list[list[int]]:
     """
     red, pivots = A.rref()
     c = A.shape[1]
-    pivot_set = set(pivots)
-    free = [j for j in range(c) if j not in pivot_set]
-    basis = np.zeros((len(free), c), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-red).a[: len(pivots), free].T
+    free = [j for j in range(c) if j not in pivots]
+    basis = Matrix.zeros(A.field, len(free), c)
+    basis.D[0, np.arange(len(free)), free] = 1
+    basis.D[:, :, pivots] = (-red).D[:, : len(pivots), free].transpose(0, 2, 1)
     return basis.tolist()
 
 
@@ -390,10 +401,8 @@ def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
     if not monic or monic[-1] != 1:
         raise InvalidInput("companion matrix needs a monic polynomial")
     n = len(monic) - 1
-    a = np.eye(n, k=-1, dtype=np.int64)
-    for i in range(n):
-        a[i, n - 1] = F.neg(monic[i])
-    return Matrix(F, a)
+    rows = [[F.neg(monic[i]) if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(F, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +410,12 @@ def companion_matrix(F: Field, monic: DensePoly) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _hessenberg(A: Matrix) -> np.ndarray:
+def _hessenberg(A: Matrix) -> Matrix:
     """Similarity-reduce to upper Hessenberg form (copy; original untouched).
     Step j is H -> L H L^-1, L = I - t e_{j+1}^T, t_i = h[i, j] / h[j+1, j] for i > j+1."""
     F = A.field
     n = A.shape[0]
-    D = A._digits(n)
+    D = A.D.copy()
     for j in range(n - 2):
         piv = _first_nonzero(D[:, j + 1 :, j])
         if piv is None:
@@ -414,12 +423,11 @@ def _hessenberg(A: Matrix) -> np.ndarray:
         swap = [j + 1, j + 1 + piv]
         D[:, swap] = D[:, swap[::-1]]
         D[:, :, swap] = D[:, :, swap[::-1]]
-        inv = _split(F, F.inv(int(_join(F, D[:, j + 1, j]))), D.dtype)
-        t = _mul(F, D[:, :, j], inv[:, None])
+        t = _mul(F, D[:, :, j], _inverse(F, D[:, j + 1, j])[:, None])
         t[:, : j + 2] = 0
-        D = _sub_outer(F, D, t[:, :, None], D[:, None, j + 1])
-        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, D[:, None] @ t[None, :, :, None])[..., 0]) % F.p
-    return _join(F, D)
+        D = (D - _mul(F, t[:, :, None], D[:, None, j + 1])) % F.p
+        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, _widen(F, D, n)[:, None] @ t[None, :, :, None])[..., 0]) % F.p
+    return Matrix(F, D)
 
 
 def char_poly(A: Matrix) -> DensePoly:
@@ -428,7 +436,7 @@ def char_poly(A: Matrix) -> DensePoly:
     if n != n2:
         raise ShapeMismatch("characteristic polynomial needs a square matrix")
     F = A.field
-    h = _hessenberg(A)
+    h = _hessenberg(A).a
     # p_m = det of the leading m x m block of (xI - H), by last-column expansion
     polys: list[list[int]] = [[1]]
     for m in range(1, n + 1):
@@ -452,19 +460,20 @@ def char_poly(A: Matrix) -> DensePoly:
 
 
 def embed_matrix(ctx: FieldCtx, A: Matrix) -> Matrix:
-    """Push a matrix over F_q into F_{q^d} through the tower embedding."""
+    """Push a matrix over F_q into F_{q^d} through the tower embedding, an
+    F_p-linear map on the digit axis: column j of its (f d, f) matrix holds
+    the digits of embed(x^j)."""
     if A.field != ctx.base:
         raise FieldMismatch("matrix is not over the tower's base field")
-    return Matrix(ctx.ext, ctx.embed_array(A.a))
+    ext, dt = ctx.ext, _dtype(ctx.ext)
+    E = np.array([ext.decode(ctx.embed(ctx.p**j)) for j in range(ctx.f)], dtype=dt).T
+    D = E @ A.D.astype(dt, copy=False).reshape(ctx.f, -1) % ctx.p
+    return Matrix(ext, D.reshape((ext.m,) + A.shape))
 
 
 def random_invertible(F: Field, n: int, rng) -> Matrix:
     """Uniformly sampled invertible matrix by rejection."""
     while True:
-        a = np.array(
-            [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)],
-            dtype=np.int64,
-        )
-        M = Matrix(F, a)
+        M = Matrix.from_rows(F, [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)])
         if M.is_invertible():
             return M

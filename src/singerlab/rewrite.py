@@ -42,6 +42,7 @@ from .matfq import (
     kernel_basis,
     proportional,
     symmetric_power,
+    vstack,
     word_products,
 )
 from .schur import (
@@ -305,18 +306,18 @@ def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: in
     wt = W.transpose()
     eye = Matrix.identity(ext, n)
     lams = [lam for _, lam in model_spectrum(spec, ctx, omega)]
-    rows: dict[int, np.ndarray] = {}
+    rows: dict[int, Matrix] = {}
     for lam in lams:
         if lam in rows:
             continue
         ker = kernel_basis(wt - eye.scale(lam))
         if len(ker) != 1:
             raise _Degenerate("eigenspace dimension is not one")
-        row = _normalize_first(Matrix.from_rows(ext, ker)).a[0]
+        row = _normalize_first(Matrix.from_rows(ext, ker))
         while lam not in rows:
             rows[lam] = row
-            lam, row = ctx.frobenius(lam, 1), ext.frobenius_array(row, ctx.f)
-    C0 = Matrix(ext, np.stack([rows[lam] for lam in lams]))
+            lam, row = ctx.frobenius(lam, 1), twist_matrix(row, ctx.q, 1)
+    C0 = vstack([rows[lam] for lam in lams])
     if C0 @ W != C0.scale(np.array(lams)[:, None]):
         raise _Degenerate("eigenrow stack does not diagonalize the candidate")
     return C0
@@ -387,8 +388,9 @@ def _calibrate_sym(k: int, d: int, observations: list[Matrix], more, ext) -> lis
     idx = _sym_index(k, d)
     pure = [idx[DigitVector([k if i == j else 0 for i in range(d)])] for j in range(d)]
     for O in itertools.chain(observations, (more() for _ in range(OBSERVATION_CAP))):
+        a = O.a
         for c in pure:
-            col = [int(x) for x in O.a[:, c]]
+            col = a[:, c].tolist()
             if all(col):
                 return _sym_theta_from_column(col, k, d, ext)
     raise _Degenerate("no fully nonzero pure-power column observed")
@@ -489,13 +491,14 @@ def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
     labels = list(itertools.combinations(range(d), k))
     idx = {s: i for i, s in enumerate(labels)}
     tl = list(itertools.combinations(range(d), k + 1))
+    a = N.a
     cols = []
     for i in range(d):
         rows = []
         for C in labels:
             if i not in C:
                 continue
-            w = N.a[:, idx[C]]
+            w = a[:, idx[C]]
             for T in tl:
                 row = [0] * d
                 any_nz = False
@@ -528,13 +531,13 @@ def _rescale_columns(N: Matrix, X: Matrix, FX: Matrix, pairs: list[tuple[int, in
     is one global scalar times the column scales label c uses; for each pair
     of labels (a_j, b_j) that differ by moving one symbol from column 0 to
     column j, ratio(b_j)/ratio(a_j) is the scale of column j."""
-    ext = N.field
+    ext, na, fxa = N.field, N.a, FX.a
     ratio = {}
     for c in {c for pair in pairs for c in pair}:
-        nz = FX.a[:, c].nonzero()[0]
+        nz = fxa[:, c].nonzero()[0]
         if len(nz) == 0:
             raise _Degenerate("candidate functor image has a zero column")
-        ratio[c] = ext.div(int(N.a[nz[0], c]), int(FX.a[nz[0], c]))
+        ratio[c] = ext.div(int(na[nz[0], c]), int(fxa[nz[0], c]))
         if not ratio[c]:
             raise _Degenerate("observation is zero where the candidate's functor image is not")
     scales = [1] + [ext.div(ratio[b], ratio[a]) for a, b in pairs]
@@ -612,12 +615,12 @@ def verify_projective(
     def scalars(seqs: list[list[int]]) -> list[int | None]:
         """Per word w, the mu with induced(A_w) @ C == mu * C @ E_w, or None."""
         images = [induced_matrix(spec, AW) for AW in word_products(preimages, seqs)]
-        models = ctx.embed_array(np.stack([EW.a for EW in word_products(publics, seqs)]))
+        models = [embed_matrix(ctx, EW) for EW in word_products(publics, seqs)]
         # letters: 0 is C, 1 + t the t-th word's matrix, so [1 + t, 0] gives
         # X_t @ C and [0, 1 + t] gives C @ X_t; two batches, not one twice the
         # size, halve the peak memory of the products
         left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
-        right = word_products([C, *(Matrix(ctx.ext, a) for a in models)], [[0, 1 + t] for t in range(len(seqs))])
+        right = word_products([C, *models], [[0, 1 + t] for t in range(len(seqs))])
         return [proportional(L, R) for L, R in zip(left, right)]
 
     mus = scalars([[i] for i in range(len(publics))])
@@ -695,18 +698,18 @@ def rewrite(
                 return mhat(word_products(epubs, _draw_words(rng, len(epubs), 1))[0])
 
             observations = [mhat(m) for m in epubs]
-            if all(np.count_nonzero(O.a) == np.count_nonzero(O.a.diagonal()) for O in observations):
+            if all(np.count_nonzero(a := O.a) == np.count_nonzero(a.diagonal()) for O in observations):
                 # The group sits inside the torus this frame splits; the
                 # correction is unconstrained and unnecessary, so none is made.
                 theta = [1] * n
             else:
                 theta = _calibrate(factor, spec, observations, more, ext)
             # N = O[i, j] * theta_j / theta_i entrywise; C = twist(diag theta)^-1 @ C0 by rows
-            row_factors = np.array([ext.inv(t) for t in theta])[:, None]
+            row_factors = [[ext.inv(t)] for t in theta]
             preimages = tuple(
                 reconstruct_generator(O.scale(row_factors).scale([theta]), factor, ctx.d) for O in observations
             )
-            C = C0.scale(twist_matrix(Matrix(ext, row_factors), ctx.q, factor.twist).a)
+            C = C0.scale([[ctx.frobenius(x, factor.twist)] for [x] in row_factors])
             ver = verify_projective(spec, ctx, publics, C, preimages, rng=rng)
             if isinstance(ver, Refuted):
                 raise _Degenerate(f"verification rejected the attempt: {ver.detail}")

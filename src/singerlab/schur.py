@@ -31,7 +31,7 @@ from typing import Iterator
 from .digitmap import DigitVector, phi, twisted_aggregate
 from .errors import ConstraintViolation, InvalidInput, ShapeMismatch
 from .ffield import FieldCtx
-from .matfq import Matrix, compound_matrix, kron, symmetric_power
+from .matfq import Matrix, compound_matrix, frobenius_matrix, kron, symmetric_power
 
 KINDS = ("nat", "sym", "ext")
 
@@ -244,13 +244,13 @@ def twist_matrix(M: Matrix, q: int, e: int) -> Matrix:
     """M with every entry raised to the power q^e, the e-th q-power
     Frobenius of M's field. Over F_{q^d} exponents live mod q^d - 1, where
     q^e = q^(e mod d), so e may be any non-negative integer; q^e acts as one
-    p^k, applied by the digit map Field.frobenius_array."""
+    p^k, an F_p-linear map on M's digits (matfq.frobenius_matrix)."""
     if e == 0:
         return M
     F = M.field
     t = pow(q, e, F.order - 1)
     k = next(k for k in range(F.m) if pow(F.p, k, F.order - 1) == t)
-    return Matrix(F, F.frobenius_array(M.a, k))
+    return frobenius_matrix(M, k)
 
 
 def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:

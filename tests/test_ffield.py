@@ -10,7 +10,6 @@ import random
 import time
 from functools import reduce
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +36,7 @@ from singerlab.ffield import (
     poly_trim,
     roots_in_extension,
 )
+from singerlab.matfq import Matrix, embed_matrix
 
 F7 = Field(7)
 F343 = Field(7, 3)
@@ -171,8 +171,8 @@ def test_embedding_rejects_codes_outside_the_base_field():
         with pytest.raises(InvalidInput):
             ctx.embed(bad)
         with pytest.raises(InvalidInput):
-            ctx.embed_array(np.array([[0, bad]], dtype=np.int64))
-    assert ctx.embed_array(np.array([0, 1, ctx.q - 1], dtype=np.int64)).tolist() == [0, 1, ctx.embed(ctx.q - 1)]
+            embed_matrix(ctx, Matrix.from_rows(ctx.base, [[0, bad]]))
+    assert embed_matrix(ctx, Matrix.from_rows(ctx.base, [[0, 1, ctx.q - 1]])).tolist() == [[0, 1, ctx.embed(ctx.q - 1)]]
 
 
 def test_base_image_is_frobenius_fixed():
@@ -565,11 +565,11 @@ def test_prime_base_field_embeds_without_a_table():
     assert time.perf_counter() - t0 < 1.0
     for a in (0, 1, 12345, p - 1):
         assert ctx.embed(a) == a and ctx.unembed(a) == a
-    assert ctx.embed_array(np.array([[0, 7], [p - 1, 1]])).tolist() == [[0, 7], [p - 1, 1]]
+    assert embed_matrix(ctx, Matrix.from_rows(ctx.base, [[0, 7], [p - 1, 1]])).tolist() == [[0, 7], [p - 1, 1]]
     for bad in (-1, p):
         with pytest.raises(InvalidInput):
             ctx.embed(bad)
         with pytest.raises(InvalidInput):
-            ctx.embed_array(np.array([bad]))
+            embed_matrix(ctx, Matrix.from_rows(ctx.base, [[bad]]))
     with pytest.raises(InvalidInput):
         ctx.unembed(p)  # the code of x, outside F_p

@@ -179,6 +179,37 @@ def test_embed_matrix_entries():
     assert [[ctx.unembed(x) for x in row] for row in E.tolist()] == A.tolist()
 
 
+@pytest.mark.parametrize(
+    "p,f,d", [(2, 2, 3), (3, 2, 4), (5, 2, 3), (7, 1, 3)], ids=["F4<F64", "F9<F6561", "F25<F5^6", "F7<F343"]
+)
+def test_embed_matrix_digit_map_matches_entrywise_embed(p, f, d):
+    """The digit map of embed_matrix sends every base code where ctx.embed does."""
+    ctx = field_ctx(p, f, d)
+    codes = list(range(ctx.q))
+    A = Matrix.from_rows(ctx.base, [codes[i : i + 3] for i in range(0, ctx.q - 2, 3)])
+    assert embed_matrix(ctx, A).tolist() == [[ctx.embed(x) for x in row] for row in A.tolist()]
+
+
+@pytest.mark.parametrize(
+    "F,rows",
+    [(Field(2, 64), [[3, 5], [7, 2**62]]), (Field(2**31 - 1, 3), [[2**62 + 11, 5], [2**40 + 3, 2**62 - 1]])],
+    ids=["F2^64", "F(2^31-1)^3"],
+)
+def test_products_past_2_63_join_exactly(F, rows):
+    """Where a code can reach 2^63, .a and tolist give exact Python ints: the
+    product equals the schoolbook one built with Field.mul."""
+    want = [[F.add(F.mul(rows[i][0], rows[0][j]), F.mul(rows[i][1], rows[1][j])) for j in range(2)] for i in range(2)]
+    M = Matrix.from_rows(F, rows)
+    assert (M @ M).tolist() == want
+    assert max(max(row) for row in want) >= 2**63
+
+
+def test_codes_are_read_only():
+    M = rand_matrix(F7, 2, 3)
+    with pytest.raises(ValueError):
+        M.a[0, 0] = 1
+
+
 # -- extension fields against scalar Field arithmetic --------------------------
 
 
@@ -356,14 +387,15 @@ def test_functor_results_do_not_share_cached_index_plans(functor):
     for k in (2, 3):
         first, want_b = functor(A, k), functor(B, k)
         want_a = first.copy()
-        first.a[...] = 0
+        first.D[...] = 0
         assert functor(A, k) == want_a and functor(B, k) == want_b
 
 
 def _dense_diag(F, values):
-    D = Matrix.zeros(F, len(values), len(values))
-    D.a[range(len(values)), range(len(values))] = values
-    return D
+    rows = Matrix.zeros(F, len(values), len(values)).tolist()
+    for i, v in enumerate(values):
+        rows[i][i] = v
+    return Matrix.from_rows(F, rows)
 
 
 @pytest.mark.parametrize(

@@ -310,8 +310,9 @@ def test_verify_word_check_catches_a_non_multiplicative_functor(monkeypatch):
         out = induced_matrix(spec_, A)
         if any(A == g for g in pre):
             return out
-        out.a[0, 0] = (out.a[0, 0] + 1) % CTX73.ext.order
-        return out
+        rows = out.tolist()
+        rows[0][0] = (rows[0][0] + 1) % CTX73.ext.order
+        return Matrix.from_rows(out.field, rows)
 
     assert isinstance(verify_projective(spec, CTX73, publics, frame, pre), Verified)
     monkeypatch.setattr(rw, "induced_matrix", broken)
@@ -353,8 +354,9 @@ def test_verify_word_check_matches_the_explicit_model_words(monkeypatch, p, f, d
     frame = embed_matrix(ctx, inst.oracle.T).inv()
     pre = [embed_matrix(ctx, a) for a in inst.oracle.A]
     bad_pre = [pre[0].scale(2) @ pre[1], pre[1]]
-    bad_frame = frame.copy()
-    bad_frame.a[0, 0] = ctx.ext.add(int(bad_frame.a[0, 0]), 1)
+    rows = frame.tolist()
+    rows[0][0] = ctx.ext.add(rows[0][0], 1)
+    bad_frame = Matrix.from_rows(ctx.ext, rows)
     publics = list(inst.generators)
     cases = [(publics, frame, pre)] * 3 + [
         (list(tamper(inst, seed=1).generators), frame, pre),
@@ -365,7 +367,9 @@ def test_verify_word_check_matches_the_explicit_model_words(monkeypatch, p, f, d
     def word_only_broken(spec_, A):
         out = induced_matrix(spec_, A)
         if not any(A == g for g in pre) and int(A.a.sum()) % 5 == 0:
-            out.a[-1, 0] = ctx.ext.add(int(out.a[-1, 0]), 1)
+            rows = out.tolist()
+            rows[-1][0] = ctx.ext.add(rows[-1][0], 1)
+            out = Matrix.from_rows(out.field, rows)
         return out
 
     details = set()
@@ -593,9 +597,10 @@ def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch
 
 
 def _dense_diag(F, values):
-    D = Matrix.zeros(F, len(values), len(values))
-    D.a[range(len(values)), range(len(values))] = values
-    return D
+    rows = Matrix.zeros(F, len(values), len(values)).tolist()
+    for i, v in enumerate(values):
+        rows[i][i] = v
+    return Matrix.from_rows(F, rows)
 
 
 @pytest.mark.parametrize(
@@ -646,13 +651,14 @@ def _normalized(M):
 def _sparse_invertibles(F, d, rng):
     """A permutation times a diagonal, an upper triangular and a companion matrix."""
     nonzero = lambda: rng.randrange(1, F.order)
-    PD = Matrix.zeros(F, d, d)
+    PD = Matrix.zeros(F, d, d).tolist()
     for i, j in enumerate(rng.sample(range(d), d)):
-        PD.a[i, j] = nonzero()
-    U = Matrix.zeros(F, d, d)
+        PD[i][j] = nonzero()
+    U = Matrix.zeros(F, d, d).tolist()
     for i in range(d):
-        U.a[i, i] = nonzero()
-        U.a[i, i + 1 :] = [rng.randrange(F.order) for _ in range(d - 1 - i)]
+        U[i][i] = nonzero()
+        U[i][i + 1 :] = [rng.randrange(F.order) for _ in range(d - 1 - i)]
+    PD, U = Matrix.from_rows(F, PD), Matrix.from_rows(F, U)
     comp = companion_matrix(F, [nonzero()] + [rng.randrange(F.order) for _ in range(d - 1)] + [1])
     return [PD, U, comp]
 
@@ -704,7 +710,8 @@ def test_a_zero_observation_ratio_ends_the_attempt(monkeypatch):
 def test_rejects_a_singular_generator():
     spec = spec_of("sym(2)")
     publics, _, _ = planted(CTX73, spec, seed=0)
-    singular = publics[1].copy()
-    singular.a[2] = 0
+    rows = publics[1].tolist()
+    rows[2] = [0] * len(rows[2])
+    singular = Matrix.from_rows(CTX73.base, rows)
     with pytest.raises(InvalidInput, match="generator images must be invertible"):
         rewrite(spec, [publics[0], singular], CTX73, RewriteConfig())

@@ -243,7 +243,7 @@ def test_induced_matrix_never_aliases_its_argument():
     A = random_invertible(F7, 3, random.Random(1))
     out = induced_matrix(spec_of("nat"), A)
     assert out == A
-    out.a[0, 0] = (out.a[0, 0] + 1) % 7
+    out.D[0, 0, 0] = (out.D[0, 0, 0] + 1) % 7
     assert out != A
 
 
