@@ -36,7 +36,7 @@ from .errors import (
 )
 from .ffield import factorint, field_ctx, is_primitive
 from .instgen import Consistent, gen_instance, load_instance, oracle_check, save_instance
-from .matfq import Matrix, read_int
+from .matfq import Matrix, read_code, read_int
 from .rewrite import (
     Failure,
     RewriteConfig,
@@ -46,7 +46,7 @@ from .rewrite import (
     rewrite,
     verify_projective,
 )
-from .schur import FactorSpec, ModuleSpec, aggregated_patterns, dim, parse_module_spec
+from .schur import FactorSpec, ModuleSpec, aggregated_patterns, dim, model_spectrum, parse_module_spec
 from .singer import Match, Simple, make_singer, spectrum_on_module, verify_model_match, verify_simple_spectrum
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def cmd_check_injectivity(args) -> int:
 
 def cmd_model_spectrum(args) -> int:
     q, d, K = args.q, args.d, args.K
-    _prime_power(q)
+    p, f = _prime_power(q)
     modulus = q**d - 1
     rows = []
     exponents = []
@@ -135,16 +135,17 @@ def cmd_model_spectrum(args) -> int:
         e = phi(c, q, d)
         exponents.append(e)
         rows.append({"pattern": list(c), "exponent": e})
-    ext = None
     omega = None
     if args.omega is not None:
         if q**d > AUTO_FIELD_LIMIT:
             raise InvalidInput(
                 f"q^d = {q**d} is too large to build the field; omit --omega for the exponent table"
             )
-        p, f = _prime_power(q)
         ext = field_ctx(p, f, d).ext
-        omega = ext.generator if args.omega == "auto" else int(args.omega)
+        try:
+            omega = ext.generator if args.omega == "auto" else read_code(int(args.omega), ext, "omega", low=1)
+        except ValueError as exc:
+            raise InvalidInput(f"--omega takes an element code or 'auto', not {args.omega!r}") from exc
         if not is_primitive(ext, omega):
             raise NotPrimitive(f"omega code {omega} does not generate the multiplicative group")
         for row in rows:
@@ -178,6 +179,8 @@ def cmd_singer_demo(args) -> int:
     p, f = _prime_power(args.q)
     ctx = field_ctx(p, f, args.d)
     spec = _parse_spec(args)
+    if dim(spec) == 0:
+        raise InvalidInput(f"module {spec.text()} is zero dimensional")
     s = make_singer(ctx, _seed(args))
     nat_eigs = spectrum_on_module(s, ModuleSpec(ctx.d, ctx.q, (FactorSpec("nat"),)))
     sp = spectrum_on_module(s, spec)
@@ -277,13 +280,13 @@ def result_from_dict(data: dict) -> tuple[RewriteResult, int, int]:
         C = Matrix.from_rows(ext, data["C"])
         preimages = tuple(Matrix.from_rows(ext, rows) for rows in data["phi"])
         labels = tuple(
-            (DigitVector(read_int(x, "label digit") for x in c), read_int(lam, "label eigenvalue"))
+            (DigitVector(read_int(x, "label digit") for x in c), read_code(lam, ext, "label eigenvalue", low=1))
             for c, lam in data["labels"]
         )
         scalars = tuple(read_int(x, "scalar") for x in data["scalars"])
         st = data.get("stats", {})
         stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in _STATS_KEYS})
-        res = RewriteResult(spec, read_int(data["omega"], "omega"), C, labels, preimages, scalars, stats)
+        res = RewriteResult(spec, read_code(data["omega"], ext, "omega", low=1), C, labels, preimages, scalars, stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed result data: {exc}") from exc
     return res, p, f
@@ -330,24 +333,25 @@ def cmd_verify(args) -> int:
     if (p, f, res.spec.d) != (inst.p, inst.f, inst.d) or res.spec != inst.spec:
         raise InvalidInput("result file does not belong to this instance")
     ctx = inst.ctx
-    ver = verify_projective(
-        inst.spec, ctx, list(inst.generators), res.C, res.preimages
-    )
-    projective_ok = isinstance(ver, Verified) and ver.scalars == res.scalars
-    if isinstance(ver, Verified) and ver.scalars != res.scalars:
+    ver = verify_projective(inst.spec, ctx, list(inst.generators), res.C, res.preimages)
+    if not isinstance(ver, Verified):
+        detail = ver.detail
+    elif ver.scalars != res.scalars:
         detail = "stored scalars disagree with the replay"
+    elif res.labels != tuple(model_spectrum(inst.spec, ctx, res.omega)):
+        detail = "labels differ from the digit model of omega"
     else:
-        detail = getattr(ver, "detail", "")
+        detail = None
     oracle_state = "absent"
     if inst.oracle is not None:
         oc = oracle_check(inst)
         oracle_state = "consistent" if isinstance(oc, Consistent) else f"inconsistent: {oc.detail}"
     payload = {
-        "projective": "verified" if projective_ok else f"refuted: {detail}",
+        "projective": "verified" if detail is None else f"refuted: {detail}",
         "oracle": oracle_state,
     }
     _emit(payload, args, lambda pl: [f"projective: {pl['projective']}", f"oracle: {pl['oracle']}"])
-    good = projective_ok and (inst.oracle is None or oracle_state == "consistent")
+    good = detail is None and (inst.oracle is None or oracle_state == "consistent")
     return EXIT_OK if good else EXIT_REFUTED
 
 

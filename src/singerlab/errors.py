@@ -15,20 +15,20 @@ class DivisionByZero(SingerlabError):
     """Division or inversion by the zero element of a field."""
 
 
-class FieldMismatch(SingerlabError):
+class InvalidInput(SingerlabError):
+    """An argument violates a documented precondition."""
+
+
+class FieldMismatch(InvalidInput):
     """Operands belong to different fields."""
 
 
-class ShapeMismatch(SingerlabError):
+class ShapeMismatch(InvalidInput):
     """Matrix dimensions incompatible with the requested operation."""
 
 
 class SingularMatrix(SingerlabError):
     """Inverse requested for a matrix with zero determinant."""
-
-
-class InvalidInput(SingerlabError):
-    """An argument violates a documented precondition."""
 
 
 class NotInSubgroup(SingerlabError):

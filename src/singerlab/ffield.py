@@ -54,6 +54,20 @@ def digit_dtype(p: int, terms: int):
     return object if terms * (p - 1) ** 2 >= 2**63 else np.int64
 
 
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by square and multiply with the product mul: no product
+    by one and no square past the top bit. For e = 1 the result is x itself,
+    for e = 0 it is one."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
+
+
 def _is_prime(n: int) -> bool:
     """Exact below 3.317e24: trial division below 10^4, then Miller-Rabin to the first
     13 prime bases. At or above it, Baillie-PSW (strong base-2 Miller-Rabin plus a strong
@@ -188,6 +202,7 @@ class Field:
         self.powers = np.array(xpow, dtype=np.int64)
         self.reduction = self.powers[np.add.outer(np.arange(m), np.arange(m)).ravel()].T
         self.weights.flags.writeable = self.powers.flags.writeable = self.reduction.flags.writeable = False
+        self.dtype = digit_dtype(p, m * m)  # matfq's digit storage: a fold sums m^2 digit products
         # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
         # m digit products plus m-1 folded high slots times digits of x^k mod modulus
         S = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
@@ -270,8 +285,7 @@ class Field:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n1]
+            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return self._polymul_code(a, b)
 
     def inv(self, a: int) -> int:
@@ -280,8 +294,7 @@ class Field:
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(n1 - self._log[a]) % n1]
+            return self._exp[-self._log[a] % (self.order - 1)]
         # Itoh-Tsujii: the norm a^r, r = (p^m - 1)/(p - 1), lies in F_p, so a^-1 is
         # b / a^r with b = a^(r-1) = s^p for s = a^(1 + p + ... + p^(m-2)). Writing
         # s_n = a^(1 + p + ... + p^(n-1)), s climbs to s_(m-1) by the bits of m - 1
@@ -305,16 +318,8 @@ class Field:
         if self.m == 1:
             return pow(a, e, self.p)
         if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(self._log[a] * e) % n1]
-        result, e = 1, e % (self.order - 1)
-        while e:
-            if e & 1:
-                result = self._polymul_code(result, a)
-            e >>= 1
-            if e:
-                a = self._polymul_code(a, a)
-        return result
+            return self._exp[self._log[a] * e % (self.order - 1)]
+        return power(a, e % (self.order - 1), self._polymul_code, 1)
 
     def frobenius(self, a: int, k: int) -> int:
         """a^(p^k), with k reduced mod m (negative k allowed), by the F_p-linear
@@ -529,15 +534,8 @@ class _QuotientRing:
         return (self.R @ c % self.F.p).reshape(A.shape)
 
     def pow(self, A: np.ndarray, e: int) -> np.ndarray:
-        """A^e for e >= 0, by square and multiply."""
-        result = None
-        while e:
-            if e & 1:
-                result = A if result is None else self.mul(result, A)
-            e >>= 1
-            if e:
-                A = self.mul(A, A)
-        return self.lift((1,)) if result is None else result
+        """A^e for e >= 0."""
+        return power(A, e, self.mul, self.lift((1,)))
 
 
 def poly_pow_mod(F: Field, base: DensePoly, e: int, mod: DensePoly) -> DensePoly:

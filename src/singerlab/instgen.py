@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidInput
 from .ffield import FieldCtx, field_ctx
-from .matfq import Matrix, proportional, random_invertible, read_int
+from .matfq import Matrix, intertwining_scalars, random_invertible, read_int
 from .schur import (
     ModuleSpec,
     dim,
     induced_matrix,
     parse_module_spec,
+    require_images,
     require_supported,
-    require_tower,
 )
 from .singer import make_singer
 
@@ -125,6 +125,7 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     induced(A_x) @ T^{-1}. The stored T certifies or the instance is
     refused; no other intertwiner is searched for, so oracle data whose
     own T is wrong is refused even when the publics are honest."""
+    require_images(inst.spec, inst.ctx, inst.generators)
     if inst.oracle is None:
         return Inconsistent("instance carries no oracle data")
     if len(inst.oracle.A) != len(inst.generators):
@@ -132,12 +133,9 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     T = inst.oracle.T
     if not T.is_invertible():
         return Inconsistent("oracle T is not invertible")
-    nus = []
-    for i, (M, A) in enumerate(zip(inst.generators, inst.oracle.A)):
-        nu = proportional(M @ T, T @ induced_matrix(inst.spec, A))
-        if nu is None:
-            return Inconsistent(f"generator {i} is not a multiple of its oracle image conjugated by T")
-        nus.append(nu)
+    nus = intertwining_scalars(T, inst.generators, (induced_matrix(inst.spec, A) for A in inst.oracle.A))
+    if None in nus:
+        return Inconsistent(f"generator {nus.index(None)} is not a multiple of its oracle image conjugated by T")
     return Consistent(tuple(nus))
 
 
@@ -168,10 +166,7 @@ def instance_from_dict(data: dict) -> PlantedInstance:
         p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
         ctx = field_ctx(p, f, d)
-        require_tower(spec, ctx)
         gens = tuple(Matrix.from_rows(ctx.base, rows) for rows in data["generators"])
-        if not gens:
-            raise InvalidInput("an instance needs at least one generator")
         oracle = None
         if "oracle" in data:
             o = data["oracle"]
@@ -182,9 +177,8 @@ def instance_from_dict(data: dict) -> PlantedInstance:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed instance data: {exc}") from exc
+    require_images(spec, ctx, gens)
     n = dim(spec)
-    if any(g.shape != (n, n) for g in gens):
-        raise InvalidInput(f"every generator of {spec.text()} must be {n} x {n}")
     if oracle is not None and (oracle.T.shape != (n, n) or any(a.shape != (d, d) for a in oracle.A)):
         raise InvalidInput(f"oracle T must be {n} x {n} and every oracle A {d} x {d}")
     return PlantedInstance(p, f, d, spec, gens, oracle)

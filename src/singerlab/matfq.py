@@ -15,6 +15,7 @@ deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -23,7 +24,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import DensePoly, Field, FieldCtx, digit_dtype, poly_trim
+from .ffield import DensePoly, Field, FieldCtx, digit_dtype, poly_trim, power
 
 # ---------------------------------------------------------------------------
 # the digit-tensor kernel
@@ -36,21 +37,16 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _dtype(F: Field, inner: int = 1):
-    """int64 unless a sum of `inner` (or m^2) digit products could overflow."""
-    return digit_dtype(F.p, max(inner, F.m * F.m))
-
-
 def _widen(F: Field, D: np.ndarray, inner: int) -> np.ndarray:
-    """D in the dtype a sum of `inner` digit products needs."""
-    return D.astype(_dtype(F, inner), copy=False)
+    """D in the dtype a sum of `inner` (or m^2) digit products needs."""
+    return D.astype(digit_dtype(F.p, max(inner, F.m * F.m)), copy=False)
 
 
 def _split(F: Field, a) -> np.ndarray:
     """Codes to digits, the digit axis first."""
     a = np.asarray(a, dtype=F.weights.dtype)
     w = F.weights.reshape((-1,) + (1,) * a.ndim)
-    return (a[None] // w % F.p).astype(_dtype(F), copy=False)
+    return (a[None] // w % F.p).astype(F.dtype, copy=False)
 
 
 def _join(F: Field, D: np.ndarray) -> np.ndarray:
@@ -61,9 +57,9 @@ def _join(F: Field, D: np.ndarray) -> np.ndarray:
 def _fold(F: Field, P: np.ndarray) -> np.ndarray:
     """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), to digits."""
     if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
-        return (P[0] % F.p).astype(_dtype(F), copy=False)
+        return (P[0] % F.p).astype(F.dtype, copy=False)
     flat = (P % F.p).reshape(F.m * F.m, -1)
-    return (F.reduction @ flat % F.p).reshape(P.shape[1:]).astype(_dtype(F), copy=False)
+    return (F.reduction @ flat % F.p).reshape(P.shape[1:]).astype(F.dtype, copy=False)
 
 
 def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -89,6 +85,14 @@ def read_int(x, what: str = "value") -> int:
     return int(x)
 
 
+def read_code(x, F: Field, what: str, low: int = 0) -> int:
+    """x as the code of an element of F, at least low: read_int and a range check."""
+    c = read_int(x, what)
+    if not low <= c < F.order:
+        raise InvalidInput(f"{what} {c} is outside the codes [{low}, {F.order}) of {F!r}")
+    return c
+
+
 @dataclass
 class Matrix:
     """A matrix over a fixed field, held as the (m, rows, cols) digit tensor
@@ -106,13 +110,12 @@ class Matrix:
         if arr.ndim != 2:
             raise InvalidInput("matrix rows must form a rectangle")
         for x in arr.flat:
-            if not 0 <= read_int(x, "matrix entry") < min(field.order, 2**63):
-                raise InvalidInput("entry code out of range for the field")
+            read_code(x, field, "matrix entry")
         return Matrix(field, _split(field, arr))
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix(field, np.zeros((field.m, r, c), dtype=_dtype(field)))
+        return Matrix(field, np.zeros((field.m, r, c), dtype=field.dtype))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -189,14 +192,9 @@ class Matrix:
             raise ShapeMismatch("matrix power needs a square matrix")
         if e < 0:
             return self.inv().pow(-e)
-        result, base = None, self
-        while e:  # no product with the identity and no square past the top bit
-            if e & 1:
-                result = base.copy() if result is None else result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return Matrix.identity(self.field, n) if result is None else result
+        # operator.matmul looks __matmul__ up at each product, so a wrapper on it sees every one
+        out = power(self, e, operator.matmul, Matrix.identity(self.field, n))
+        return out.copy() if out is self else out
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.D.transpose(0, 2, 1).copy())
@@ -257,6 +255,13 @@ def proportional(L: Matrix, R: Matrix) -> int | None:
     if mu == 0:
         return None
     return mu if L == R.scale(mu) else None
+
+
+def intertwining_scalars(X: Matrix, lefts, rights) -> list[int | None]:
+    """Per pair (L, R), the nonzero mu with L @ X == mu * X @ R, or None. With
+    X invertible that is L == mu * X @ R @ X^{-1}: the certificate both
+    rewrite's results and an instance's oracle data must pass."""
+    return [proportional(L @ X, X @ R) for L, R in zip(lefts, rights)]
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
@@ -465,7 +470,7 @@ def embed_matrix(ctx: FieldCtx, A: Matrix) -> Matrix:
     the digits of embed(x^j)."""
     if A.field != ctx.base:
         raise FieldMismatch("matrix is not over the tower's base field")
-    ext, dt = ctx.ext, _dtype(ctx.ext)
+    ext, dt = ctx.ext, ctx.ext.dtype
     E = np.array([ext.decode(ctx.embed(ctx.p**j)) for j in range(ctx.f)], dtype=dt).T
     D = E @ A.D.astype(dt, copy=False).reshape(ctx.f, -1) % ctx.p
     return Matrix(ext, D.reshape((ext.m,) + A.shape))

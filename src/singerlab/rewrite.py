@@ -32,15 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digitmap import DigitVector, phi
-from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
+from .errors import InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
 from .ffield import FieldCtx, factorint, is_primitive, nth_roots, poly_deriv, poly_gcd, roots_in_extension
 from .matfq import (
     Matrix,
     char_poly,
     compound_matrix,
     embed_matrix,
+    intertwining_scalars,
     kernel_basis,
-    proportional,
     symmetric_power,
     vstack,
     word_products,
@@ -54,8 +54,8 @@ from .schur import (
     factor_labels,
     induced_matrix,
     model_spectrum,
+    require_images,
     require_supported,
-    require_tower,
     twist_matrix,
 )
 
@@ -596,32 +596,22 @@ def verify_projective(
     generator leaves rng where it was. Once every generator holds with scalar mu_i, a
     word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
     so a word check fails only if induced_matrix is not multiplicative."""
-    require_tower(spec, ctx)
+    require_images(spec, ctx, publics)
     if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
     if len(publics) != len(preimages):
         return Refuted("generator and preimage counts differ")
-    if not publics:
-        raise InvalidInput("need at least one generator image")
     n = dim(spec)
-    for g, A in zip(publics, preimages):
-        if g.field != ctx.base:
-            raise FieldMismatch("generator images must be over the base field")
-        if (C.shape, g.shape, A.shape) != ((n, n), (n, n), (ctx.d, ctx.d)):
-            raise ShapeMismatch(f"frame {C.shape}, generator {g.shape}, preimage {A.shape} do not fit {spec.text()}")
+    if C.shape != (n, n) or any(A.shape != (ctx.d, ctx.d) for A in preimages):
+        raise ShapeMismatch(f"frame {C.shape} and preimages {[A.shape for A in preimages]} do not fit {spec.text()}")
     if not C.is_invertible():
         return Refuted("frame is not invertible")
 
     def scalars(seqs: list[list[int]]) -> list[int | None]:
         """Per word w, the mu with induced(A_w) @ C == mu * C @ E_w, or None."""
-        images = [induced_matrix(spec, AW) for AW in word_products(preimages, seqs)]
-        models = [embed_matrix(ctx, EW) for EW in word_products(publics, seqs)]
-        # letters: 0 is C, 1 + t the t-th word's matrix, so [1 + t, 0] gives
-        # X_t @ C and [0, 1 + t] gives C @ X_t; two batches, not one twice the
-        # size, halve the peak memory of the products
-        left = word_products([C, *images], [[1 + t, 0] for t in range(len(seqs))])
-        right = word_products([C, *models], [[0, 1 + t] for t in range(len(seqs))])
-        return [proportional(L, R) for L, R in zip(left, right)]
+        images = (induced_matrix(spec, AW) for AW in word_products(preimages, seqs))
+        models = (embed_matrix(ctx, EW) for EW in word_products(publics, seqs))
+        return intertwining_scalars(C, images, models)
 
     mus = scalars([[i] for i in range(len(publics))])
     if None in mus:
@@ -653,14 +643,8 @@ def rewrite(
     require_supported(spec, ctx)
     _, factor = _factor_plan(spec)
     _check_supported(spec, factor)
+    require_images(spec, ctx, publics)
     n = dim(spec)
-    if not publics:
-        raise InvalidInput("need at least one generator image")
-    for g in publics:
-        if g.field.order != ctx.q:
-            raise InvalidInput("generator images must be over the base field")
-        if g.shape != (n, n):
-            raise InvalidInput(f"generator shape {g.shape} does not match module dimension {n}")
 
     ext = ctx.ext
     e_back = (-factor.twist) % ctx.d

@@ -29,7 +29,7 @@ from math import comb, prod
 from typing import Iterator
 
 from .digitmap import DigitVector, phi, twisted_aggregate
-from .errors import ConstraintViolation, InvalidInput, ShapeMismatch
+from .errors import ConstraintViolation, FieldMismatch, InvalidInput, ShapeMismatch
 from .ffield import FieldCtx
 from .matfq import Matrix, compound_matrix, frobenius_matrix, kron, symmetric_power
 
@@ -219,6 +219,20 @@ def require_tower(spec: ModuleSpec, ctx: FieldCtx) -> None:
     """Raise unless spec's q and d are those of the tower ctx."""
     if spec.q != ctx.q or spec.d != ctx.d:
         raise InvalidInput(f"module spec {spec.text()} does not match the field tower q={ctx.q} d={ctx.d}")
+
+
+def require_images(spec: ModuleSpec, ctx: FieldCtx, images) -> None:
+    """Raise unless spec lives on the tower ctx and the generator images are
+    at least one dim(spec) x dim(spec) matrix, each over the base field."""
+    require_tower(spec, ctx)
+    if not images:
+        raise InvalidInput("need at least one generator image")
+    n = dim(spec)
+    for g in images:
+        if g.field != ctx.base:
+            raise FieldMismatch("generator images must be over the base field")
+        if g.shape != (n, n):
+            raise ShapeMismatch(f"generator shape {g.shape} does not fit {spec.text()} of dimension {n}")
 
 
 def require_supported(spec: ModuleSpec, ctx: FieldCtx) -> None:

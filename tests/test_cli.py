@@ -18,7 +18,7 @@ import singerlab
 from singerlab.cli import main
 from singerlab.ffield import field_ctx
 from singerlab.instgen import gen_instance, save_instance, tamper
-from singerlab.schur import parse_module_spec
+from singerlab.schur import model_spectrum, parse_module_spec
 
 
 def run(capsys, *argv):
@@ -125,6 +125,14 @@ def test_omega_rejects_oversize_field(capsys):
     assert main(["model-spectrum", "--q", "65536", "--d", "10", "--K", "4", "--omega", "auto"]) == 1
 
 
+@pytest.mark.parametrize("omega", ["abc", "-5", "999999", "0"])
+def test_omega_outside_the_field_exits_one(capsys, omega):
+    """--omega takes the code of a nonzero element of F_{q^d}; these used to
+    end in a ValueError or KeyError traceback."""
+    assert main(["model-spectrum", "--q", "7", "--d", "3", "--K", "2", f"--omega={omega}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- demo ------------------------------------------------------------------------------
 
 
@@ -134,6 +142,12 @@ def test_demo_transcript(capsys):
     assert "model match: yes" in out
     assert "simple spectrum: yes" in out
     assert "exponent 147 has base-7 digits (0, 0, 3)" in out
+
+
+def test_demo_of_a_zero_dimensional_module_exits_one(capsys):
+    """ext(5) vanishes at d = 3; the demo used to stop in min() of no patterns."""
+    assert main(["singer-demo", "--q", "7", "--d", "3", "--spec", "ext(5)"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- instance pipeline ------------------------------------------------------------------
@@ -417,6 +431,62 @@ def test_verify_refuses_an_edited_oracle_T(instance_path, tmp_path, capsys, T):
     assert main(["verify", "--in", instance_path, "--result", result]) == 2
     out = capsys.readouterr().out
     assert "projective: verified" in out and "oracle: inconsistent" in out
+
+
+def _other_omega(res):
+    """A nonzero code of F_343 whose digit model differs from the stored labels."""
+    ctx = field_ctx(res["p"], res["f"], res["d"])
+    spec = parse_module_spec(res["spec"])
+    for omega in range(1, ctx.ext.order):
+        if [[list(c), lam] for c, lam in model_spectrum(spec, ctx, omega)] != res["labels"]:
+            return omega
+    raise AssertionError("every omega gives the stored labels")
+
+
+def _edit_omega(res):
+    res["omega"] = _other_omega(res)
+
+
+def _edit_label_pattern(res):
+    res["labels"][0][0] = [9, 9, 9]
+
+
+def _edit_label_eigenvalue(res):
+    res["labels"][0][1] = res["labels"][1][1]
+
+
+@pytest.mark.parametrize(
+    "edit", [_edit_omega, _edit_label_pattern, _edit_label_eigenvalue], ids=["omega", "pattern", "eigenvalue"]
+)
+def test_verify_refutes_labels_off_the_digit_model(instance_path, tmp_path, capsys, edit):
+    """verify checks the stored labels against model_spectrum(spec, ctx, omega);
+    it used to read neither, so these edits printed verified and exited 0."""
+    result = _rewrite_result(instance_path, tmp_path)
+    res = json.loads(open(result).read())
+    edit(res)
+    with open(result, "w") as fh:
+        json.dump(res, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 2
+    assert "projective: refuted: labels differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["omega", "eigenvalue"])
+@pytest.mark.parametrize("code", [0, 343, -1])
+def test_verify_refuses_an_out_of_range_code(instance_path, tmp_path, capsys, where, code):
+    result = _rewrite_result(instance_path, tmp_path)
+    res = json.loads(open(result).read())
+    if where == "omega":
+        res["omega"] = code
+    else:
+        res["labels"][2][1] = code
+    with open(result, "w") as fh:
+        json.dump(res, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", instance_path, "--result", result]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "outside the codes" in captured.err
+    assert "verified" not in captured.out
 
 
 # -- cold start and the example scripts -----------------------------------------------

@@ -6,6 +6,7 @@ existed; they freeze the lex-smallest-modulus convention.
 """
 
 import math
+import operator
 import random
 import time
 from functools import reduce
@@ -29,6 +30,7 @@ from singerlab.ffield import (
     is_primitive,
     nth_roots,
     poly_eval,
+    power,
     poly_gcd,
     poly_deg,
     poly_mod,
@@ -573,3 +575,48 @@ def test_prime_base_field_embeds_without_a_table():
             embed_matrix(ctx, Matrix.from_rows(ctx.base, [[bad]]))
     with pytest.raises(InvalidInput):
         ctx.unembed(p)  # the code of x, outside F_p
+
+
+def _power_cases():
+    """(x, mul, one, pow method) on a prime, a tabled and an untabled field,
+    on F_5[x]/(x^3 + 3x + 2) and on 3 x 3 matrices over F_7."""
+    cases = [(Field(p, m), x) for p, m, x in ((101, 1, 7), (3, 4, 41), (17, 4, 5001))]
+    out = [(x, F.mul, 1, F.pow) for F, x in cases]
+    ring = ffield._QuotientRing(Field(5), (2, 3, 0, 1))
+    out.append((ring.lift((1, 4, 2)), ring.mul, ring.lift((1,)), ring.pow))
+    M = Matrix.from_rows(Field(7), [[1, 2, 0], [3, 0, 5], [6, 1, 1]])
+    out.append((M, operator.matmul, Matrix.identity(Field(7), 3), Matrix.pow))
+    return out
+
+
+@pytest.mark.parametrize("case", _power_cases(), ids=["prime", "tabled", "untabled", "quotient_ring", "matrix"])
+def test_power_matches_repeated_products(case):
+    """power, and every pow built on it, equals x multiplied into one e times,
+    with bit_length(e) - 1 squares and popcount(e) - 1 other products: no
+    product by one and no square past the top bit. The large exponent
+    2^40 + 3 is checked against 40 squarings times x^3."""
+    x, mul, one, pow_method = case
+    same = (lambda a, b: bool((a == b).all())) if hasattr(x, "ndim") else operator.eq
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    exponents = (0, 1, 2, 3, 2**5 - 1, 2**8 - 1, 300)
+    want, acc = {}, one
+    for e in range(max(exponents) + 1):
+        want[e] = acc
+        acc = mul(acc, x)
+    acc = x
+    for _ in range(40):
+        acc = mul(acc, acc)
+    want[2**40 + 3] = mul(acc, want[3])
+    exponents += (2**40 + 3,)
+    for e in exponents:
+        calls.clear()
+        assert same(power(x, e, counted, one), want[e]), e
+        assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+        assert same(pow_method(x, e), want[e]), e
+    if isinstance(x, Matrix):  # a matrix power never aliases its argument
+        assert x.pow(1) == x and x.pow(1).D is not x.D

@@ -204,6 +204,20 @@ def test_products_past_2_63_join_exactly(F, rows):
     assert max(max(row) for row in want) >= 2**63
 
 
+@pytest.mark.parametrize(
+    "F,rows",
+    [(Field(2, 64), [[3, 5], [7, 2**62]]), (Field(2**31 - 1, 3), [[2**62 + 11, 5], [2**40 + 3, 2**62 - 1]])],
+    ids=["F2^64", "F(2^31-1)^3"],
+)
+def test_codes_past_2_63_round_trip_through_rows(F, rows):
+    """from_rows takes every code below the field order, so a product whose
+    codes reach 2^63 comes back from its own rows."""
+    M = Matrix.from_rows(F, rows)
+    assert Matrix.from_rows(F, (M @ M).tolist()) == M @ M
+    with pytest.raises(InvalidInput):
+        Matrix.from_rows(F, [[F.order]])
+
+
 def test_codes_are_read_only():
     M = rand_matrix(F7, 2, 3)
     with pytest.raises(ValueError):
