@@ -13,6 +13,7 @@ import argparse
 
 from singerlab import (
     RewriteConfig,
+    SingerlabError,
     char_poly,
     embed_matrix,
     field_ctx,
@@ -21,7 +22,7 @@ from singerlab import (
     rewrite,
     verify_projective,
 )
-from singerlab.ffield import factorint
+from singerlab.ffield import prime_power
 from singerlab.rewrite import Failure, Verified
 
 
@@ -46,12 +47,8 @@ def main() -> None:
     ap.add_argument("--eps", type=float, default=0.01)
     args = ap.parse_args()
 
-    fac = factorint(args.q)
-    if len(fac) != 1:
-        raise SystemExit(f"q = {args.q} is not a prime power")
-    [(p, f)] = fac.items()
     spec = parse_module_spec(args.spec, q=args.q, d=args.d)
-    ctx = field_ctx(p, f, args.d)
+    ctx = field_ctx(*prime_power(args.q), args.d)
     inst = gen_instance(ctx, spec, n_generators=args.gens, seed=args.seed)
     print(f"instance: {spec.text()}, {args.gens} public matrices of size {inst.generators[0].shape[0]}")
 
@@ -82,4 +79,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except SingerlabError as exc:  # e.g. a q that is not a prime power
+        raise SystemExit(f"error: {exc}") from None

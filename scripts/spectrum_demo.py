@@ -19,7 +19,7 @@ from singerlab import (
     verify_model_match,
     verify_simple_spectrum,
 )
-from singerlab.ffield import factorint
+from singerlab.ffield import prime_power
 from singerlab.singer import Match, Simple
 
 
@@ -36,7 +36,7 @@ def main() -> None:
     )
     args = ap.parse_args()
 
-    ctx = field_ctx(*_tower(args.q), args.d)
+    ctx = field_ctx(*prime_power(args.q), args.d)
     s = make_singer(ctx, args.seed)
     print(f"field tower: F_{ctx.base.order} inside F_{ctx.ext.order}, d = {ctx.d}")
     print(f"primitive element code: {s.omega}")
@@ -61,13 +61,8 @@ def main() -> None:
         print(f"  simple spectrum: {'yes' if isinstance(simple, Simple) else simple}")
 
 
-def _tower(q: int) -> tuple[int, int]:
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise SystemExit(f"q = {q} is not a prime power")
-    [(p, f)] = fac.items()
-    return p, f
-
-
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except SingerlabError as exc:  # e.g. a q that is not a prime power
+        raise SystemExit(f"error: {exc}") from None

@@ -34,8 +34,8 @@ from .errors import (
     NotPrimitive,
     SingerlabError,
 )
-from .ffield import factorint, field_ctx, is_primitive
-from .instgen import Consistent, gen_instance, load_instance, oracle_check, save_instance
+from .ffield import field_ctx, is_primitive, prime_power
+from .instgen import Consistent, PlantedInstance, gen_instance, load_instance, oracle_check, save_instance
 from .matfq import Matrix, read_code, read_int
 from .rewrite import (
     Failure,
@@ -79,16 +79,6 @@ def _seed(args) -> int:
         raise InvalidInput(f"SINGER_SEED must be an integer, got {env!r}") from exc
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise InvalidInput("q must be at least 2")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise InvalidInput(f"q = {q} is not a prime power")
-    [(p, f)] = fac.items()
-    return int(p), int(f)
-
-
 def _parse_spec(args) -> ModuleSpec:
     q = getattr(args, "q", None)
     d = getattr(args, "d", None)
@@ -127,7 +117,7 @@ def cmd_check_injectivity(args) -> int:
 
 def cmd_model_spectrum(args) -> int:
     q, d, K = args.q, args.d, args.K
-    p, f = _prime_power(q)
+    p, f = prime_power(q)
     modulus = q**d - 1
     rows = []
     exponents = []
@@ -176,8 +166,7 @@ def cmd_model_spectrum(args) -> int:
 
 
 def cmd_singer_demo(args) -> int:
-    p, f = _prime_power(args.q)
-    ctx = field_ctx(p, f, args.d)
+    ctx = field_ctx(*prime_power(args.q), args.d)
     spec = _parse_spec(args)
     if dim(spec) == 0:
         raise InvalidInput(f"module {spec.text()} is zero dimensional")
@@ -189,8 +178,8 @@ def cmd_singer_demo(args) -> int:
     c_star = min(aggregated_patterns(spec))
     e_star = phi(c_star, ctx.q, ctx.d)
     payload = {
-        "p": p,
-        "f": f,
+        "p": ctx.p,
+        "f": ctx.f,
         "d": args.d,
         "omega": s.omega,
         "order": ctx.ext.order - 1,
@@ -225,8 +214,7 @@ def cmd_singer_demo(args) -> int:
 
 def cmd_gen_instance(args) -> int:
     spec = _parse_spec(args)
-    p, f = _prime_power(spec.q)
-    ctx = field_ctx(p, f, spec.d)
+    ctx = field_ctx(*prime_power(spec.q), spec.d)
     inst = gen_instance(ctx, spec, args.gens, _seed(args), plant_singer=args.plant_singer)
     if args.no_oracle:
         inst = dataclasses.replace(inst, oracle=None)
@@ -272,11 +260,13 @@ def result_to_dict(res: RewriteResult, p: int, f: int) -> dict:
     }
 
 
-def result_from_dict(data: dict) -> tuple[RewriteResult, int, int]:
+def result_from_dict(data: dict, inst: PlantedInstance) -> RewriteResult:
+    """A result over inst's tower: its spec, p, f and d must be inst's before any matrix is read."""
     try:
-        p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
-        ext = field_ctx(p, f, d).ext
+        if spec != inst.spec or tuple(read_int(data[key], key) for key in ("p", "f", "d")) != (inst.p, inst.f, inst.d):
+            raise InvalidInput("result file does not belong to this instance")
+        ext = inst.ctx.ext
         C = Matrix.from_rows(ext, data["C"])
         preimages = tuple(Matrix.from_rows(ext, rows) for rows in data["phi"])
         labels = tuple(
@@ -285,11 +275,13 @@ def result_from_dict(data: dict) -> tuple[RewriteResult, int, int]:
         )
         scalars = tuple(read_int(x, "scalar") for x in data["scalars"])
         st = data.get("stats", {})
+        if not isinstance(st, dict):
+            raise InvalidInput(f"stats {st!r} is not an object")
         stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in _STATS_KEYS})
         res = RewriteResult(spec, read_code(data["omega"], ext, "omega", low=1), C, labels, preimages, scalars, stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed result data: {exc}") from exc
-    return res, p, f
+    return res
 
 
 def _default_result_path(instance_path: str) -> str:
@@ -329,9 +321,7 @@ def cmd_rewrite(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.infile)
     with open(args.result, encoding="utf-8") as fh:
-        res, p, f = result_from_dict(json.load(fh))
-    if (p, f, res.spec.d) != (inst.p, inst.f, inst.d) or res.spec != inst.spec:
-        raise InvalidInput("result file does not belong to this instance")
+        res = result_from_dict(json.load(fh), inst)
     ctx = inst.ctx
     ver = verify_projective(inst.spec, ctx, list(inst.generators), res.C, res.preimages)
     if not isinstance(ver, Verified):

@@ -169,6 +169,18 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f and p prime, never factoring q: for each f, the integer
+    f-th root of q by Newton's method is p when its f-th power is q and it is prime."""
+    for f in range(1, max(q, 2).bit_length()):  # every f with 2^f <= q, and f = 1 for q < 2
+        r = 1 << -(-q.bit_length() // f)  # at least the root; Newton descends to its floor
+        while (s := ((f - 1) * r + q // r ** (f - 1)) // f) < r:
+            r = s
+        if r**f == q and _is_prime(r):
+            return r, f
+    raise InvalidInput(f"q = {q} is not a prime power")
+
+
 class Field:
     """Arithmetic context for F_{p^m} on integer-coded elements."""
 

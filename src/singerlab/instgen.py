@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInput
-from .ffield import FieldCtx, field_ctx
+from .ffield import FieldCtx, field_ctx, prime_power
 from .matfq import Matrix, intertwining_scalars, random_invertible, read_int
 from .schur import (
     ModuleSpec,
@@ -163,8 +163,10 @@ def instance_to_dict(inst: PlantedInstance) -> dict:
 
 def instance_from_dict(data: dict) -> PlantedInstance:
     try:
-        p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
         spec = parse_module_spec(data["spec"])
+        p, f, d = (read_int(data[key], key) for key in ("p", "f", "d"))
+        if (p, f, d) != (*prime_power(spec.q), spec.d):
+            raise InvalidInput(f"module spec {spec.text()} does not match the field tower p={p} f={f} d={d}")
         ctx = field_ctx(p, f, d)
         gens = tuple(Matrix.from_rows(ctx.base, rows) for rows in data["generators"])
         oracle = None

@@ -350,6 +350,87 @@ def test_fuzz_non_integer_leaf_exits_one(valid_files, data, value, in_result):
         assert err.getvalue().startswith("error: ")
 
 
+@pytest.mark.parametrize("stats", ["7", -1, 1.5, []], ids=["string", "negative", "float", "list"])
+def test_verify_refuses_stats_that_are_not_an_object(valid_files, capsys, stats):
+    """A stats value without .get used to end in an AttributeError traceback."""
+    root, inst, res = valid_files
+    inst_path, res_path = str(root / "stats.json"), str(root / "stats.result.json")
+    for path, data in ((inst_path, inst), (res_path, _replaced(res, ("stats",), stats))):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", inst_path, "--result", res_path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("f", [40, 2**64], ids=["40", "2^64"])
+@pytest.mark.parametrize("in_result", [False, True], ids=["instance", "result"])
+def test_a_header_off_the_spec_is_refused_before_any_field_is_built(valid_files, f, in_result):
+    """With f = 40, verify used to build F_{7^120} before it compared the header
+    with the spec, and ran past 20 s."""
+    root, inst, res = valid_files
+    inst_path, res_path = str(root / "header.json"), str(root / "header.result.json")
+    for path, data, edited in ((inst_path, inst, not in_result), (res_path, res, in_result)):
+        with open(path, "w") as fh:
+            json.dump(_replaced(data, ("f",), f) if edited else data, fh)
+    proc = _run_python(["-m", "singerlab.cli", "verify", "--in", inst_path, "--result", res_path], timeout=5)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ")
+
+
+def test_model_spectrum_refuses_a_product_of_large_primes_at_once():
+    """factorint spent more than 20 s on this q before cli refused it."""
+    q = str((2**61 - 1) * (2**89 - 1))
+    proc = _run_python(["-m", "singerlab.cli", "model-spectrum", "--q", q, "--d", "2", "--K", "1"], timeout=5)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "not a prime power" in proc.stderr
+
+
+EDGE_VALUES = (-1, 0, 2**64, 10**400, [], {})
+
+
+def _key_paths(node):
+    """The path of every dict key in node, whether its value is a leaf or not."""
+    return {path[: i + 1] for path in _leaf_paths(node) for i, key in enumerate(path) if isinstance(key, str)}
+
+
+def _deleted(data, path):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), in_result=st.booleans(), delete=st.booleans())
+def test_fuzz_edge_value_or_missing_key_never_raises(valid_files, data, in_result, delete):
+    """One leaf of the instance or the result set to an edge value, or one key
+    deleted: verify (and, for the instance, rewrite) returns an exit code and
+    raises nothing, and verify exits 0 only for data it does not check."""
+    root, inst, res = valid_files
+    target = res if in_result else inst
+    if delete:
+        path = data.draw(st.sampled_from(sorted(_key_paths(target), key=repr)))
+        mutated = _deleted(target, path)
+    else:
+        path = data.draw(st.sampled_from(sorted(_leaf_paths(target), key=repr)))
+        mutated = _replaced(target, path, data.draw(st.sampled_from(EDGE_VALUES)))
+    inst_path, res_path = str(root / "edge.json"), str(root / "edge.result.json")
+    for path_out, original, edited in ((inst_path, inst, not in_result), (res_path, res, in_result)):
+        with open(path_out, "w") as fh:
+            json.dump(mutated if edited else original, fh)
+    commands = [["verify", "--in", inst_path, "--result", res_path]]
+    if not in_result:
+        commands.append(["rewrite", "--in", inst_path, "--out", str(root / "edge.out.json")])
+    codes = []
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+    assert all(code in (0, 1, 2, 3) for code in codes), (path, codes)
+    unchecked = path[0] == "stats" or path[:2] == ("oracle", "seed") or (delete and path == ("oracle",))
+    assert codes[0] != 0 or unchecked or mutated == target, (path, delete)
+
+
 def test_instance_without_generators_exits_one(instance_path, tmp_path, capsys):
     """With no generators and no preimages, verify used to reach the word
     draw and end in a ValueError traceback (a word over no letters)."""
@@ -492,11 +573,11 @@ def test_verify_refuses_an_out_of_range_code(instance_path, tmp_path, capsys, wh
 # -- cold start and the example scripts -----------------------------------------------
 
 
-def _run_python(args):
+def _run_python(args, timeout=120):
     env = dict(os.environ)
     src = str(Path(singerlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_cli_import_loads_no_sympy():

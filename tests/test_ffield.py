@@ -36,6 +36,7 @@ from singerlab.ffield import (
     poly_mod,
     poly_mul,
     poly_trim,
+    prime_power,
     roots_in_extension,
 )
 from singerlab.matfq import Matrix, embed_matrix
@@ -382,6 +383,30 @@ def test_factorint_and_is_prime_agree_with_sympy():
         assert _is_prime(r) and not _is_prime(r * sympy.nextprime(r))
 
     check()
+
+
+# -- prime powers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "q,want",
+    [(2, (2, 1)), (9, (3, 2)), (81, (3, 4)), (3**40, (3, 40)), (2**64, (2, 64)), (M61**2, (M61, 2)),
+     (M127**3, (M127, 3))],
+)
+def test_prime_power_returns_the_exact_tower(q, want):
+    assert prime_power(q) == want
+
+
+@pytest.mark.parametrize(
+    "q", [0, 1, -7, 6, 12, M61 * M89, 10**400 + 267], ids=["0", "1", "-7", "6", "12", "M61*M89", "10^400+267"]
+)
+def test_prime_power_refuses_within_a_second(q):
+    """Not prime powers. factorint spends more than 20 s on each of the
+    last two; prime_power never factors."""
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="not a prime power"):
+        prime_power(q)
+    assert time.perf_counter() - start < 1
 
 
 # -- exp/log tables ------------------------------------------------------------
