@@ -61,7 +61,7 @@ def case_line(p: int, f: int, text: str, seed: int, planted: bool) -> str:
     head = f"{text} seed={seed} planted={int(planted)}"
     if isinstance(res, Failure):
         st = res.stats
-        return f"{head} failure {res.reason!r} sampled={st.elements_sampled} dlogs={st.dlog_calls} retries={st.retries}"
+        return f"{head} failure {res.reason!r} sampled={st.elements_sampled} root_steps={st.dlog_calls} retries={st.retries}"
     blob = json.dumps(result_to_dict(res, p, f), sort_keys=True, indent=2)
     bad = list(tamper(inst, seed=seed).generators)
     tampered = verify_projective(spec, ctx, bad, res.C, res.preimages)

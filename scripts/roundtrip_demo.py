@@ -62,7 +62,7 @@ def main() -> None:
     print(f"scalars: {res.scalars}")
     st = res.stats
     print(
-        f"stats: {st.elements_sampled} elements sampled, {st.dlog_calls} dlogs, "
+        f"stats: {st.elements_sampled} elements sampled, {st.dlog_calls} root steps, "
         f"{st.retries} retries, {st.wall_time * 1000:.1f} ms"
     )
 

@@ -92,7 +92,7 @@ def _parse_spec(args) -> ModuleSpec:
 
 def cmd_check_injectivity(args) -> int:
     if args.sum_K:
-        verdict = check_injectivity_sumK(args.q, args.d, args.C)
+        verdict = check_injectivity_sumK(args.q, args.d, args.C, budget=args.budget)
         payload = {"mode": "sum", "q": args.q, "d": args.d, "K": args.C}
     else:
         verdict = check_injectivity(args.q, args.d, args.C, budget=args.budget)
@@ -277,7 +277,10 @@ def result_from_dict(data: dict, inst: PlantedInstance) -> RewriteResult:
         st = data.get("stats", {})
         if not isinstance(st, dict):
             raise InvalidInput(f"stats {st!r} is not an object")
-        stats = RewriteStats(**{key: read_int(st.get(key, 0), key) for key in _STATS_KEYS})
+        counts = {key: read_int(st.get(key, 0), key) for key in _STATS_KEYS}
+        if any(v < 0 for v in counts.values()):
+            raise InvalidInput(f"stats {counts} hold a negative count")
+        stats = RewriteStats(**counts)
         res = RewriteResult(spec, read_code(data["omega"], ext, "omega", low=1), C, labels, preimages, scalars, stats)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed result data: {exc}") from exc
@@ -309,7 +312,7 @@ def cmd_rewrite(args) -> int:
         yield f"omega = {pl['omega']}, scalars = {pl['scalars']}"
         st = pl["stats"]
         yield (
-            f"sampled {st['elements_sampled']} elements, {st['dlog_calls']} discrete logs, "
+            f"sampled {st['elements_sampled']} elements, {st['dlog_calls']} root steps, "
             f"{st['retries']} retries ({res.stats.wall_time * 1000:.1f} ms)"
         )
         yield f"wrote result to {pl['path']}"

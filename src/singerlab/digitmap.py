@@ -11,6 +11,7 @@ digit model are listed by schur.model_spectrum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -118,11 +119,17 @@ def enumerate_patterns(d: int, K: int) -> Iterator[DigitVector]:
     return rec(d, K, ())
 
 
-def check_injectivity_sumK(q: int, d: int, K: int) -> Injective | Collision:
+def check_injectivity_sumK(q: int, d: int, K: int, budget: int = 10**7) -> Injective | Collision:
     """Injectivity of the exponent map restricted to digit sums equal to K.
 
-    Streams the compositions, so only the residue set is held in memory.
+    Streams the compositions, so only the residue set is held in memory;
+    their count binom(d + K - 1, K) must not exceed the budget.
     """
+    if q < 2 or d < 1 or K < 0:
+        raise InvalidInput("need q >= 2, d >= 1, K >= 0")
+    total = math.comb(d + K - 1, K)
+    if total > budget:
+        raise CapacityExceeded(f"{total} patterns of total {K} exceed the exhaustive budget")
     return _first_collision(enumerate_patterns(d, K), q, d)
 
 

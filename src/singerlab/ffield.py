@@ -23,8 +23,8 @@ import hashlib
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import count
-from math import gcd, isqrt
+from itertools import accumulate, count
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -901,16 +901,35 @@ def discrete_log(F: Field, target: int, base: int) -> int:
 
 
 def nth_roots(F: Field, n: int, r: int) -> list[int]:
-    """All x in F* with x^n = r, as generator powers g^(t0 + j*step) in
-    increasing j; one discrete log of r decides and finds them."""
+    """All x in F* with x^n = r, sorted by code, with no discrete log
+    (Adleman, Manders & Miller 1977). With N = |F*| and g = gcd(n, N), the
+    n-th powers are the order-N/g subgroup, so roots exist exactly when
+    r^(N/g) = 1; they are then the roots of x^g = mu, mu = r^((n/g)^-1 mod
+    N/g): one root of x^g - mu times the g-th roots of unity."""
     if r == 0:
         return []
     q1 = F.order - 1
-    g = F.generator
-    a = discrete_log(F, r, g)
-    gd = gcd(n % q1 or q1, q1)
-    if a % gd:
+    n = n % q1 or q1
+    g = gcd(n, q1)
+    # first: an x^g - mu that does not split would keep _one_root looping
+    if F.pow(r, q1 // g) != 1:
         return []
-    step = q1 // gd
-    t0 = (a // gd) * pow((n % q1 or q1) // gd, -1, step) % step
-    return [F.pow(g, t0 + j * step) for j in range(gd)]
+    mu = F.pow(r, pow(n // g, -1, q1 // g))
+    primes = factorint(g)
+    # prime powers of g that are full in N need no split: for their product
+    # g2, gcd(g2, N/g2) = 1, so x = mu^(g2^-1 mod N/g2) has x^g2 = mu, and x
+    # is an h-th power for h = g/g2, which is prime to g2
+    g2 = prod(ell**a for ell, a in primes.items() if (q1 // g) % ell)
+    x, h = F.pow(mu, pow(g2, -1, q1 // g2)), g // g2
+    # zeta of order g: the first z^(N/g) whose order the primes of g confirm,
+    # z past the prime field of an extension (its orders divide p - 1)
+    units = (F.pow(z, q1 // g) for z in range(1 if F.m == 1 else F.p, F.order))
+    zeta = next(w for w in units if all(F.pow(w, g // ell) != 1 for ell in primes))
+    # then h a prime at a time: x is an h-th power, so t^ell - x splits into
+    # distinct linear factors, and one of its roots is an (h/ell)-th power
+    for ell in [ell for ell, a in primes.items() if h % ell == 0 for _ in range(a)]:
+        h //= ell
+        t = _one_root(F, (F.neg(x),) + (0,) * (ell - 1) + (1,))
+        w = F.pow(zeta, g // ell)
+        x = next(u for u in accumulate([w] * (ell - 1), F.mul, initial=t) if F.pow(u, q1 // h) == 1)
+    return sorted(accumulate([zeta] * (g - 1), F.mul, initial=x))

@@ -3,8 +3,9 @@
 The input is a list of invertible matrices over F_q that are, projectively,
 the images of unknown d x d generators under an induced tensor functor,
 conjugated by an unknown change of basis. The output is a frame C over
-F_{q^d}, a primitive element omega whose digit model labels the spectrum,
-and for every input generator a d x d preimage A with
+F_{q^d}, an element omega whose digit model labels the spectrum (not
+always primitive: SL_d(q) has no primitive one), and for every input
+generator a d x d preimage A with
 
     induced(spec, A) = mu * C @ M @ C^{-1}
 
@@ -14,11 +15,12 @@ returned result: every result passes an exact proportionality check before
 it is handed back.
 
 The pipeline: sample group elements until one has a simple, fully split
-spectrum matching a primitive-element digit model (find_singer_candidate,
-recover_omega), stack its left eigenrows into a first frame (build
-eigenbasis), cancel the residual diagonal ambiguity so observations become
-exact functor images of d x d matrices (calibration), then read preimages
-off entry ratios or wedge kernels (reconstruct_generator).
+spectrum matching the digit model of some omega (find_singer_candidate,
+recover_omega, whose roots take no discrete log), stack its left eigenrows
+into a first frame (build eigenbasis), cancel the residual diagonal
+ambiguity so observations become exact functor images of d x d matrices
+(calibration), then read preimages off entry ratios or wedge kernels
+(reconstruct_generator).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, factorint, is_primitive, nth_roots, poly_deriv, poly_gcd, roots_in_extension
+from .ffield import FieldCtx, factorint, nth_roots, poly_deriv, poly_gcd, roots_in_extension
 from .matfq import (
     Matrix,
     char_poly,
@@ -194,10 +196,12 @@ def recover_omega(
     ctx: FieldCtx,
     stats: RewriteStats | None = None,
 ) -> tuple[int, dict[int, DigitVector]] | None:
-    """Find a primitive omega with {omega^phi(c)} equal to the given
-    eigenvalue set, trying each eigenvalue as the image of the lex-greatest
-    pattern c0: the candidates are the phi(c0)-th roots of it. Returns
-    (omega, eigenvalue -> pattern) or None."""
+    """The first omega with {omega^phi(c)} equal to the given eigenvalue set
+    (a model with two patterns on one value never is), trying each
+    eigenvalue as the image of the lex-greatest pattern c0: the candidates
+    are its phi(c0)-th roots. The set is Frobenius stable and the model of
+    rho^q is the q-th power of rho's, so a failed eigenvalue's whole orbit
+    fails and is skipped. Returns (omega, eigenvalue -> pattern) or None."""
     ext = ctx.ext
     n1 = ext.order - 1
     patterns = list(aggregated_patterns(spec))
@@ -207,24 +211,28 @@ def recover_omega(
     if e0 == 0 or math.gcd(e0, n1) > ROOT_ENUM_CAP:
         return None
     want = sorted(eigenvalues)
+    failed: set[int] = set()
     for lam in eigenvalues:
-        if lam == 0:
-            return None
+        if lam in failed:
+            continue
         if stats is not None:
             stats.dlog_calls += 1
         for rho in nth_roots(ext, e0, lam):
-            if not is_primitive(ext, rho):
-                continue
             labeling = {v: c for c, v in model_spectrum(spec, ctx, rho)}
             if sorted(labeling) == want:
                 return rho, labeling
+        while lam not in failed:
+            failed.add(lam)
+            lam = ctx.frobenius(lam, 1)
     return None
 
 
 def _ppd_exponent(ctx: FieldCtx, patterns: list[DigitVector]) -> int | None:
     """(q^d-1)/r for a prime r dividing q^d-1 but no earlier q^i-1, provided
     the digit model does not kill r on every pattern. Used only as a cheap
-    rejection filter, so it must never exclude a genuine candidate."""
+    rejection filter: it never excludes a candidate whose omega has order
+    divisible by (q^d-1)/(q-1), as for a Singer cycle of any group between
+    SL_d(q) and GL_d(q), since r does not divide q-1."""
     n1 = ctx.ext.order - 1
     for r in sorted(factorint(n1)):
         if any((ctx.q**i - 1) % r == 0 for i in range(1, ctx.d)):
@@ -260,7 +268,7 @@ def find_singer_candidate(
     try_generators: bool = True,
 ) -> tuple[Matrix, int, dict[int, DigitVector]] | None:
     """Search the group for an element with simple, fully split spectrum
-    matching a primitive digit model. Generators are tried before random
+    matching the digit model of some omega. Generators are tried before random
     words since a planted instance often exposes one directly.
 
     Rejection runs over F_q. Once the characteristic polynomial of m is

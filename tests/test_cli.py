@@ -58,6 +58,19 @@ def test_budget_exhaustion_exits_three(capsys):
     assert code == 3
 
 
+def test_sum_k_honours_the_budget():
+    """--sum-K used to ignore --budget and stream binom(209, 200) patterns until killed."""
+    argv = ["check-injectivity", "--q", "65536", "--d", "10", "--C", "200", "--sum-K", "--budget", "1000"]
+    proc = _run_python(["-m", "singerlab.cli", *argv], timeout=5)
+    assert proc.returncode == 3 and proc.stderr.startswith("budget exceeded: ")
+
+
+def test_sum_k_refuses_q_below_two(capsys):
+    """q = 1 made phi reduce modulo q^d - 1 = 0: a ZeroDivisionError traceback."""
+    assert main(["check-injectivity", "--q", "1", "--d", "2", "--C", "2", "--sum-K"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_non_prime_power_q_rejected(capsys):
     assert main(["model-spectrum", "--q", "6", "--d", "2", "--K", "2"]) == 1
 
@@ -361,6 +374,19 @@ def test_verify_refuses_stats_that_are_not_an_object(valid_files, capsys, stats)
     capsys.readouterr()
     assert main(["verify", "--in", inst_path, "--result", res_path]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,count", [("elements_sampled", -1), ("dlog_calls", -5), ("retries", -1)])
+def test_verify_refuses_a_negative_stats_count(valid_files, capsys, key, count):
+    """A negative counter used to load, and verify exited 0."""
+    root, inst, res = valid_files
+    inst_path, res_path = str(root / "count.json"), str(root / "count.result.json")
+    for path, data in ((inst_path, inst), (res_path, _replaced(res, ("stats", key), count))):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+    capsys.readouterr()
+    assert main(["verify", "--in", inst_path, "--result", res_path]) == 1
+    assert "negative count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("f", [40, 2**64], ids=["40", "2^64"])

@@ -305,6 +305,23 @@ def test_nth_roots_match_brute_force(p, m):
             assert sorted(got) == want[r], (n, r)
 
 
+@pytest.mark.parametrize("p,n", [(127, 128), (257, 258), (17, 96)])
+def test_nth_roots_split_one_prime_at_a_time(p, n):
+    """Untabled F_{p^4}, where n divides p^4 - 1: 128 = 2^7 with 2^9 in
+    p^4 - 1, 258 = 2 * 3 * 43 with only the 2 short of its power there, and
+    96 = 2^5 * 3 with both short. No split has degree above 3, and all n
+    roots of a planted power come back sorted."""
+    F = field_ctx(p, 1, 4).ext
+    assert (F.order - 1) % n == 0
+    rng = random.Random(p)
+    for _ in range(3):
+        x = rng.randrange(1, F.order)
+        r = F.pow(x, n)
+        got = nth_roots(F, n, r)
+        assert x in got and len(set(got)) == n and got == sorted(got)
+        assert all(F.pow(y, n) == r for y in got)
+
+
 # -- integer factorization ---------------------------------------------------
 
 

@@ -20,14 +20,14 @@ from singerlab.rewrite import RewriteConfig, RewriteResult, rewrite
 from singerlab.schur import parse_module_spec
 
 GOLDEN = [
-    ("d=3 q=7 factors=[sym(2)@0]", 7, 1, 0, True, "544a81735df7daf2ecb79156ca09deafa12102e75fc919ca8ebed7a06bdcef33"),
-    ("d=3 q=7 factors=[sym(2)@0]", 7, 1, 1, True, "3ecf509166b3280f86813eb0ff225067c4a9d844d5abedd339b6f3636831a14d"),
+    ("d=3 q=7 factors=[sym(2)@0]", 7, 1, 0, True, "eb75d725466db07002c7e397a916c451ce1d2a3b7f95ab2c8daccb1ad37d85a0"),
+    ("d=3 q=7 factors=[sym(2)@0]", 7, 1, 1, True, "afd8892c2e708acdbdca69b342092d92c9c2df1d443814db0ad02dbaffed40a6"),
     ("d=3 q=7 factors=[sym(3)@0]", 7, 1, 0, True, "f6a584893ee281d4fdb7e7b5b2d9037873517717c391ef580a8767168168508b"),
-    ("d=3 q=7 factors=[sym(3)@0]", 7, 1, 1, True, "a7a78df549cdb336593e31a8728c5e184dec996cc5c1ef4d83aaccf174b4a831"),
-    ("d=4 q=7 factors=[ext(2)@0]", 7, 1, 0, True, "f7f4987c5c06f87495bd84c0d1e6748fcedea0b091701563f1b4cc8ea6c342c4"),
-    ("d=4 q=7 factors=[ext(2)@0]", 7, 1, 1, True, "c247973993ecea8f2070e1ed293038ef1708e91a99e09a5f989710d378644b5b"),
-    ("d=4 q=9 factors=[ext(2)@0]", 3, 2, 0, False, "1171ec62f8e8986c5a4bbc483a4243ed862df1021fe7b8bc0e0660f6cbf04888"),
-    ("d=4 q=17 factors=[sym(2)@0]", 17, 1, 0, True, "6d06de50bba9682971416d1af7dcb3afa90f6d68b5fdbc428f3938fdd6049fd3"),
+    ("d=3 q=7 factors=[sym(3)@0]", 7, 1, 1, True, "21c358724326a6755eee7a39e70b9a133c1440d428f3bb5a62deef1ea5977250"),
+    ("d=4 q=7 factors=[ext(2)@0]", 7, 1, 0, True, "d3ec13201a06bacd611c18fd356c96a3da1976d4c0e8cccbf6b9d96393921145"),
+    ("d=4 q=7 factors=[ext(2)@0]", 7, 1, 1, True, "bb1b18fb139f77c3db6e9390001bc5e90b1e1b2ca6337892af64a54369931cbc"),
+    ("d=4 q=9 factors=[ext(2)@0]", 3, 2, 0, False, "35f2947740b697847331976d830747a8ea9a69889dfad24e4248fbb8d390e25d"),
+    ("d=4 q=17 factors=[sym(2)@0]", 17, 1, 0, True, "2a6e4ccb4cda1f22b20f64dae402f76115e6be20898ccdbba5c2c71825561944"),
 ]
 
 IDS = ["sym2_q7_s0", "sym2_q7_s1", "sym3_q7_s0", "sym3_q7_s1", "ext2_q7_s0", "ext2_q7_s1", "ext2_q9_unplanted", "sym2_q17_untabled"]

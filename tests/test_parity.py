@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "parity_sweep.py"
-DIGEST = "8cff7f6014e2f4d535cc546bf99932369ead84af6bc7f423e2890b6e84400639"
+DIGEST = "f66eec35b94374532a4607fd9453b1ce7697d29a3c76234f350f16a65fcb8ec7"
 
 
 def test_parity_sweep_digest_is_unchanged():

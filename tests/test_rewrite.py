@@ -18,8 +18,9 @@ from singerlab.errors import (
     SingularMatrix,
     UnsupportedFactor,
 )
-from singerlab.ffield import factor_poly, field_ctx, poly_deg
-from singerlab.instgen import gen_instance, tamper
+from singerlab import ffield
+from singerlab.ffield import Field, factor_poly, field_ctx, is_primitive, poly_deg, prime_power
+from singerlab.instgen import Consistent, Oracle, PlantedInstance, gen_instance, oracle_check, tamper
 from singerlab.matfq import (
     Matrix,
     char_poly,
@@ -485,11 +486,11 @@ def test_round_trip_with_prime_power_base():
 
 TORUS = [
     ("nat", 7, 1, 3, "aed6e410cfad3f7dedda840e5b3dca53b5172f261e03118b6a365bf541f15e9a"),
-    ("sym(2)", 7, 1, 3, "0e7b76d26c76aef9d497335003302bbda689d238f380d188f71025f0f56df04a"),
-    ("sym(2)@1", 7, 1, 3, "9ac7d27aae42b2ae793c2f6720becc4dcff02ac7f5fa950b798be0a2fbd0276d"),
-    ("ext(2)", 7, 1, 4, "b770c9c1f9d41f79596473a18d9b1051c29e2d841fb777467da1962d31ccda40"),
-    ("ext(3)", 7, 1, 4, "3f38c84e0758137dc4e157a9ce2618da3c85a1c9c9d699f99e07ff53c524582b"),
-    ("ext(2)", 3, 2, 4, "491a9d3b6b24d482bb7efe23de4e8a940ef668d2dbaa3e58f27b2dacb0004258"),
+    ("sym(2)", 7, 1, 3, "5067062d266a62eeae9464d6f97e2f793e1c574a1ae8bb64edd1d9cc0c273d6f"),
+    ("sym(2)@1", 7, 1, 3, "9d3d9dc8f9c647522f7c439616390f01278d64b50fcd22e2b7c314ebe8a063dc"),
+    ("ext(2)", 7, 1, 4, "a030ec1cb909005cac94fcaed4a55efffd76623dc2e34a04705ba44cc3d4e4ae"),
+    ("ext(3)", 7, 1, 4, "b7ed39f896c134cde047d9f70b192cc079e475d221bcefb3ed6dfa3902295a27"),
+    ("ext(2)", 3, 2, 4, "f62274a4f5c2dae45ff133fc23c23c17a7786d9f720a6dc56aa23cc7d9e21a87"),
 ]
 
 
@@ -510,6 +511,85 @@ def test_round_trip_inside_the_torus(text, p, f, d, digest):
     assert_result_is_sound(res, spec, ctx, publics)
     blob = json.dumps(result_to_dict(res, p, f), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _det_one_instance(ctx, spec, seed):
+    """Three random secrets, each with its first row scaled by det^-1, so the
+    group lies in SL_d(q) and holds no element with a primitive omega; their
+    images are conjugated by a random T. Two random elements of SL_3(5) can
+    generate a subgroup of order prime to (5^3 - 1)/(5 - 1) = 31, which holds
+    no element whose spectrum is a model at all; a third makes that rare."""
+    F = ctx.base
+    rng = random.Random(repr(("det-one", spec.text(), seed)))
+    secrets = []
+    for _ in range(3):
+        rows = random_invertible(F, ctx.d, rng).tolist()
+        scale = F.inv(Matrix.from_rows(F, rows).det())
+        rows[0] = [F.mul(scale, x) for x in rows[0]]
+        secrets.append(Matrix.from_rows(F, rows))
+    T = random_invertible(F, dim(spec), rng)
+    publics = tuple(T @ induced_matrix(spec, A) @ T.inv() for A in secrets)
+    return PlantedInstance(ctx.p, ctx.f, ctx.d, spec, publics, Oracle(tuple(secrets), T, seed))
+
+
+@pytest.mark.parametrize("text,q,d", [("sym(2)", 7, 3), ("ext(2)", 9, 4), ("nat", 5, 3)])
+def test_round_trip_in_a_determinant_restricted_group(text, q, d):
+    """Inside SL_d(q) an omega whose model matches has norm 1 or -1 in these
+    families, so none is primitive: a search that kept only primitive ones
+    spent its whole budget. Now at least 19 of 20 seeds verify, every
+    returned result is sound, and each is refuted on a tampered copy."""
+    ctx = field_ctx(*prime_power(q), d)
+    spec = spec_of(text, q=q, d=d)
+    verified = 0
+    for seed in range(20):
+        inst = _det_one_instance(ctx, spec, seed)
+        assert all(A.det() == 1 for A in inst.oracle.A)
+        publics = list(inst.generators)
+        res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=seed))
+        if isinstance(res, Failure):
+            continue
+        assert_result_is_sound(res, spec, ctx, publics)
+        assert not is_primitive(ctx.ext, res.omega)
+        assert isinstance(oracle_check(inst), Consistent)
+        bad = list(tamper(inst, seed=seed).generators)
+        assert isinstance(verify_projective(spec, ctx, bad, res.C, res.preimages), Refuted)
+        verified += 1
+    assert verified >= 19, f"only {verified}/20 verified"
+
+
+def test_rewrite_takes_no_discrete_log_and_no_primitivity_test(monkeypatch):
+    """Planted sym(2) over an untabled F_{17^4} and an unplanted ext(2) search
+    over F_{9^4} rewrite and verify with discrete_log, is_primitive and
+    Field.generator all raising."""
+    cases = []
+    for text, p, f, d, plant in [("sym(2)", 17, 1, 4, True), ("ext(2)", 3, 2, 4, False)]:
+        ctx = field_ctx(p, f, d)
+        spec = spec_of(text, q=ctx.q, d=d)
+        cases.append((spec, ctx, list(gen_instance(ctx, spec, 2, seed=0, plant_singer=plant).generators)))
+
+    def refuse(*args):
+        raise AssertionError("rewrite reached a discrete log or a primitivity test")
+
+    monkeypatch.setattr(ffield, "discrete_log", refuse)
+    monkeypatch.setattr(ffield, "is_primitive", refuse)
+    monkeypatch.setattr(Field, "generator", property(refuse))
+    for spec, ctx, publics in cases:
+        res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=0))
+        assert_result_is_sound(res, spec, ctx, publics)
+
+
+@pytest.mark.parametrize("q,d", [(65537, 3), (2**31 - 1, 2), (2**31 - 1, 3), (1009, 5)])
+def test_round_trip_past_the_old_discrete_log_limit(q, d):
+    """Each of these towers has q^d > 2^48, where the discrete log behind the
+    root step refused with CapacityExceeded; the root step takes none now."""
+    ctx = field_ctx(*prime_power(q), d)
+    spec = spec_of("sym(2)", q=q, d=d)
+    assert ctx.ext.order > 2**48
+    for seed in range(3):
+        inst = gen_instance(ctx, spec, 2, seed=seed)
+        res = rewrite(spec, list(inst.generators), ctx, RewriteConfig(rng_seed=seed))
+        assert_result_is_sound(res, spec, ctx, list(inst.generators))
+        assert isinstance(oracle_check(inst), Consistent)
 
 
 def test_rewrite_is_deterministic():
