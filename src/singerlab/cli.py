@@ -21,7 +21,6 @@ from .digitmap import (
     Collision,
     DigitVector,
     Injective,
-    base_q_expansion,
     check_injectivity,
     check_injectivity_sumK,
     enumerate_patterns,

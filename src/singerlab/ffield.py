@@ -44,6 +44,9 @@ TABLE_LIMIT = 2**16
 # discrete_log refuses fields larger than this (desk-scale contract).
 DLOG_LIMIT = 2**48
 
+# _QuotientRing refuses a fold matrix with more entries than this (256 MB of int64).
+QUOTIENT_LIMIT = 2**25
+
 
 _SMALL_PRIMES = tuple(sorted(set(range(2, 10**4)).difference(*(range(r * r, 10**4, r) for r in range(2, 100)))))
 _PSI_13 = 3317044064679887385961981  # the first 13 prime bases are exact below it (Sorenson & Webster 2015)
@@ -189,6 +192,8 @@ class Field:
             raise InvalidInput(f"characteristic {p} is not prime")
         if m < 1:
             raise InvalidInput(f"extension degree {m} must be positive")
+        if m > 1 and p >= 2**63:  # the digit arrays below are int64
+            raise InvalidInput(f"F_{p}^{m}: a base prime of 2^63 or more is supported only as a prime field")
         self.p = p
         self.m = m
         self.order = p**m
@@ -518,6 +523,8 @@ class _QuotientRing:
     def __init__(self, F: Field, h: DensePoly):
         p, m, n = F.p, F.m, len(h) - 1
         self.F, self.h, self.n, self.w = F, h, n, 2 * m - 1
+        if n * (2 * n - 1) * self.w**2 > QUOTIENT_LIMIT:
+            raise CapacityExceeded(f"F[x]/(h), deg h = {n} over {F!r}: its fold matrix passes {QUOTIENT_LIMIT} entries")
         self.dt = dt = digit_dtype(p, (2 * n - 1) * self.w)
         # Y[c, k]: the digits of y^(c+k), so a coefficient's digits @ Y[:, k] are its product with y^k
         Y = F.powers[np.add.outer(np.arange(m), np.arange(self.w))].astype(dt)

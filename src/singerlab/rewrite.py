@@ -16,17 +16,18 @@ it is handed back.
 
 The pipeline: sample group elements until one has a simple, fully split
 spectrum matching the digit model of some omega (find_singer_candidate,
-recover_omega, whose roots take no discrete log), stack its left eigenrows
-into a first frame (build eigenbasis), cancel the residual diagonal
-ambiguity so observations become exact functor images of d x d matrices
-(calibration), then read preimages off entry ratios or wedge kernels
-(reconstruct_generator).
+recover_omega; no discrete log), read the eigenrow frame and its inverse off
+one rank-one projector chi(W)/(W - lam) per Frobenius orbit
+(build_eigenbasis; no elimination), cancel the residual diagonal ambiguity
+so observations become exact functor images of d x d matrices (calibration),
+then read preimages off entry ratios or wedge kernels (reconstruct_generator).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ import numpy as np
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, factorint, nth_roots, poly_deriv, poly_gcd, roots_in_extension
+from .ffield import FieldCtx, factorint, nth_roots, poly_deriv, poly_divmod, poly_gcd, roots_in_extension
 from .matfq import (
     Matrix,
     char_poly,
@@ -150,13 +151,9 @@ class ElementSampler:
         if not generators:
             raise InvalidInput("need at least one generator to sample from")
         inverses = [g.inv() for g in generators]
-        slots, invs = [g.copy() for g in generators], list(inverses)
-        i = 0
-        while len(slots) < 5:
-            slots.append(generators[i % len(generators)].copy())
-            invs.append(inverses[i % len(generators)])
-            i += 1
-        self._slots, self._invs = slots, invs
+        cycle = [i % len(generators) for i in range(max(5, len(generators)))]
+        self._slots = [generators[i].copy() for i in cycle]
+        self._invs = [inverses[i] for i in cycle]
         self._acc = Matrix.identity(generators[0].field, generators[0].shape[0])
         self._rng = rng
         for _ in range(SAMPLER_WARMUP):
@@ -301,34 +298,43 @@ def find_singer_candidate(
 # ---------------------------------------------------------------------------
 
 
-def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: int) -> Matrix:
-    """Stack left eigenrows of the element over F_{q^d}, one per aggregated
-    pattern in label order, each scaled to leading entry 1. Row for pattern
-    c satisfies row @ W = omega^phi(c) * row. One kernel per q-power
-    Frobenius orbit: W is over F_q, so row^(q) @ W = lam^q * row^(q)
-    entrywise, and a normalized eigenrow of a 1-dimensional eigenspace is
-    unique, so the orbit's other rows are exactly the kernel row's q-powers."""
-    ext = ctx.ext
+def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: int) -> tuple[Matrix, Matrix]:
+    """The frame C0 over F_{q^d}, one left eigenrow of W per label in label
+    order, each scaled to leading entry 1, and C0^-1, whose columns are the
+    matching right eigencolumns v with row @ v = 1. No elimination: for n
+    distinct roots lam of chi, g = chi / (x - lam) makes g(W) a nonzero
+    multiple of v @ row, the rank-one Lagrange-Sylvester projector (Horn &
+    Johnson 1991, 6.1), and g(W) is g's coefficient row times S, the rows
+    W^k flattened. One projector per q-power Frobenius orbit: W is over F_q,
+    so row^(q) @ W = lam^q * row^(q) entrywise, and normalized eigenvectors
+    of one-dimensional eigenspaces are unique, so the orbit's other rows and
+    columns are the q-powers of the first."""
+    ext, n = ctx.ext, element.shape[0]
     W = embed_matrix(ctx, element)
-    n = W.shape[0]
-    wt = W.transpose()
-    eye = Matrix.identity(ext, n)
+    chi = ctx.embed_poly(char_poly(element))
+    powers = itertools.accumulate([element] * (n - 1), operator.matmul, initial=Matrix.identity(element.field, n))
+    S = embed_matrix(ctx, vstack([Matrix(element.field, P.D.reshape(-1, 1, n * n)) for P in powers]))
     lams = [lam for _, lam in model_spectrum(spec, ctx, omega)]
-    rows: dict[int, Matrix] = {}
+    if len(set(lams)) != n:
+        raise _Degenerate("the labels repeat an eigenvalue")
+    frame: dict[int, tuple[Matrix, Matrix]] = {}  # lam -> (eigenrow, eigencolumn as a row)
     for lam in lams:
-        if lam in rows:
+        if lam in frame:
             continue
-        ker = kernel_basis(wt - eye.scale(lam))
-        if len(ker) != 1:
-            raise _Degenerate("eigenspace dimension is not one")
-        row = _normalize_first(Matrix.from_rows(ext, ker))
-        while lam not in rows:
-            rows[lam] = row
-            lam, row = ctx.frobenius(lam, 1), twist_matrix(row, ctx.q, 1)
-    C0 = vstack([rows[lam] for lam in lams])
+        g, rem = poly_divmod(ext, chi, (ext.neg(lam), 1))
+        if rem:
+            raise _Degenerate("a label is not an eigenvalue of the candidate")
+        G = (Matrix.from_rows(ext, [g]) @ S).D.reshape(-1, n, n)
+        row = _normalize_first(Matrix(ext, G[:, [G.any((0, 2)).argmax()]]))
+        col = Matrix(ext, G[:, None, :, G.any((0, 1)).argmax()])
+        pair = (row, col.scale(ext.inv(int((row @ col.transpose()).a[0, 0]))))
+        while lam not in frame:
+            frame[lam] = pair
+            lam, pair = ctx.frobenius(lam, 1), tuple(twist_matrix(M, ctx.q, 1) for M in pair)
+    C0, C0_inv = (vstack([frame[lam][i] for lam in lams]) for i in (0, 1))
     if C0 @ W != C0.scale(np.array(lams)[:, None]):
         raise _Degenerate("eigenrow stack does not diagonalize the candidate")
-    return C0
+    return C0, C0_inv.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +379,8 @@ def _sym_theta_from_column(col: list[int], k: int, d: int, ext) -> list[int]:
     """
     idx = _sym_index(k, d)
     u0 = 0
-    theta: dict[DigitVector, int] = {}
     top = DigitVector([k if i == u0 else 0 for i in range(d)])
-    theta[top] = 1
-    for v in range(1, d):
-        theta[_bump(top, u0, v)] = 1
+    theta = dict.fromkeys([top] + [_bump(top, u0, v) for v in range(1, d)], 1)
     for m in sorted(idx, key=lambda t: k - t[u0]):
         if k - m[u0] <= 1:
             continue
@@ -509,15 +512,13 @@ def _extract_wedge(N: Matrix, k: int, d: int) -> Matrix:
             w = a[:, idx[C]]
             for T in tl:
                 row = [0] * d
-                any_nz = False
                 for pos, t in enumerate(T):
                     s = T[:pos] + T[pos + 1 :]
                     coef = int(w[idx[s]])
                     if pos % 2:
                         coef = ext.neg(coef)
                     row[t] = coef
-                    any_nz = any_nz or coef != 0
-                if any_nz:
+                if any(row):
                     rows.append(row)
         if not rows:
             raise _Degenerate("wedge constraint system is empty")
@@ -680,8 +681,7 @@ def rewrite(
             break
         s_w, omega, _ = cand
         try:
-            C0 = build_eigenbasis(ctx, s_w, spec, omega)
-            c0inv = C0.inv()
+            C0, c0inv = build_eigenbasis(ctx, s_w, spec, omega)
 
             def mhat(m_ext: Matrix) -> Matrix:
                 return twist_matrix(C0 @ m_ext @ c0inv, ctx.q, e_back)

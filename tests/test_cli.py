@@ -410,6 +410,28 @@ def test_model_spectrum_refuses_a_product_of_large_primes_at_once():
     assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "not a prime power" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["gen-instance", "singer-demo"])
+def test_a_base_prime_past_two_to_the_63_is_refused(command, tmp_path):
+    """F_{q^2} with q = 2^127 - 1 died with an OverflowError traceback while
+    Field built its int64 digit arrays."""
+    q = str(2**127 - 1)
+    argv = {
+        "gen-instance": ["--spec", f"d=2 q={q} factors=[sym(2)@0]", "--q", q, "--d", "2", "--out", str(tmp_path / "i.json")],
+        "singer-demo": ["--q", q, "--d", "2", "--spec", "nat"],
+    }[command]
+    proc = _run_python(["-m", "singerlab.cli", command, *argv], timeout=20)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_singer_demo_refuses_a_quotient_ring_past_its_budget():
+    """The natural module at q = 7, d = 60 splits a degree-60 polynomial over
+    F_{7^60}, a quotient ring with a 101-million-entry fold matrix: it ran past
+    8 s, or ended in a MemoryError traceback under a memory limit."""
+    argv = ["singer-demo", "--q", "7", "--d", "60", "--spec", "nat"]
+    proc = _run_python(["-m", "singerlab.cli", *argv], timeout=5)
+    assert proc.returncode == 3 and proc.stderr.startswith("budget exceeded: ")
+
+
 EDGE_VALUES = (-1, 0, 2**64, 10**400, [], {})
 
 

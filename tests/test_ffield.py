@@ -83,6 +83,25 @@ def test_composite_characteristic_rejected():
         Field(6)
 
 
+def test_extension_of_a_base_prime_past_two_to_the_63_is_refused():
+    """Such a field's digits do not fit the int64 arrays Field builds; the
+    prime field itself runs on Python ints."""
+    p = 2**127 - 1
+    with pytest.raises(InvalidInput, match="2\\^63"):
+        Field(p, 2)
+    assert Field(p).mul(p - 1, p - 1) == 1
+    assert Field(2**61 - 1, 2).order == (2**61 - 1) ** 2
+
+
+def test_quotient_ring_refuses_a_fold_matrix_past_its_budget():
+    """x^4097 - 1 over F_2 would need a 4097 x 8193 fold matrix, past
+    QUOTIENT_LIMIT entries; the refusal comes before any array is built."""
+    F = Field(2)
+    assert 4097 * 8193 > ffield.QUOTIENT_LIMIT >= 4096 * 8191
+    with pytest.raises(CapacityExceeded, match="fold matrix"):
+        ffield._QuotientRing(F, (1,) + (0,) * 4096 + (1,))
+
+
 # -- base arithmetic ---------------------------------------------------------
 
 

@@ -216,8 +216,9 @@ def test_eigenbasis_diagonalizes():
     spec = spec_of("sym(2)")
     s = make_singer(CTX73, 4)
     w = induced_matrix(spec, s.S)
-    C = build_eigenbasis(CTX73, w, spec, s.omega)
-    D = C @ embed_matrix(CTX73, w) @ C.inv()
+    C, C_inv = build_eigenbasis(CTX73, w, spec, s.omega)
+    assert C_inv == C.inv()
+    D = C @ embed_matrix(CTX73, w) @ C_inv
     n = dim(spec)
     got = D.tolist()
     assert all(got[i][j] == 0 for i in range(n) for j in range(n) if i != j)
@@ -649,9 +650,9 @@ def test_config_validation():
     ids=["sym2_q17_d4", "ext2_q9_d4", "sym2tw_q7_d3"],
 )
 def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch):
-    """build_eigenbasis takes one kernel per Frobenius orbit of the model
-    spectrum, and its rows equal the normalized kernel row of each label's
-    own eigenvalue."""
+    """build_eigenbasis takes no kernel, its rows equal the normalized
+    kernel row of each label's own eigenvalue, and the inverse it returns is
+    the frame's inverse."""
     ctx = field_ctx(p, f, d)
     spec = spec_of(text, q=ctx.q, d=d)
     s = make_singer(ctx, 1)
@@ -664,13 +665,89 @@ def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch
         (row,) = kernel_basis(W.transpose() - eye.scale(lam))
         lead = next(x for x in row if x)
         want.append([ctx.ext.div(x, lead) for x in row])
-    orbits = {min(ctx.frobenius(lam, i) for i in range(d)) for lam in lams}
 
     rw = importlib.import_module("singerlab.rewrite")
     calls = []
     monkeypatch.setattr(rw, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
-    assert build_eigenbasis(ctx, w, spec, s.omega).tolist() == want
-    assert len(calls) == len(orbits) < len(lams)
+    C0, C0_inv = build_eigenbasis(ctx, w, spec, s.omega)
+    assert C0.tolist() == want
+    assert calls == [] and C0_inv == C0.inv()
+
+
+def _kernel_rows(ctx, w, spec, omega):
+    """The left eigenrow of each label's eigenvalue, one kernel each, scaled to leading entry 1."""
+    W = embed_matrix(ctx, w)
+    eye = Matrix.identity(ctx.ext, W.shape[0])
+    rows = []
+    for _, lam in model_spectrum(spec, ctx, omega):
+        (row,) = kernel_basis(W.transpose() - eye.scale(lam))
+        lead = next(x for x in row if x)
+        rows.append([ctx.ext.div(x, lead) for x in row])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p,f,d,text",
+    [(5, 1, 6, "sym(2)"), (7, 1, 4, "ext(3)"), (5, 1, 3, "nat"), (7, 1, 3, "sym(2)@1")],
+    ids=["sym2_q5_d6", "ext3_q7_d4", "nat_q5_d3", "sym2tw_q7_d3"],
+)
+def test_projector_frame_equals_kernel_rows_and_inverse(p, f, d, text, monkeypatch):
+    """The rows read off the rank-one projectors chi(W)/(W - lam) are the
+    normalized per-eigenvalue kernel rows, the columns form exactly the
+    frame's inverse, and no elimination runs to get them."""
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=ctx.q, d=d)
+    s = make_singer(ctx, 2)
+    w = induced_matrix(spec, s.S)
+    want = _kernel_rows(ctx, w, spec, s.omega)
+
+    def no_elimination(M):
+        raise AssertionError(f"elimination over {M.field!r}")
+
+    monkeypatch.setattr(Matrix, "rref", no_elimination)
+    C0, C0_inv = build_eigenbasis(ctx, w, spec, s.omega)
+    monkeypatch.undo()
+    assert C0.tolist() == want
+    assert C0_inv == C0.inv()
+
+
+def test_a_wrong_omega_ends_the_attempt():
+    """Labels off the candidate's spectrum raise _Degenerate, never an
+    IndexError or a DivisionByZero: omega = 1 repeats one label, and an
+    omega with distinct labels outside the spectrum leaves a remainder when
+    chi is divided by x - lam."""
+    rw = importlib.import_module("singerlab.rewrite")
+    spec = spec_of("sym(2)")
+    s = make_singer(CTX73, 4)
+    w = induced_matrix(spec, s.S)
+    labels = lambda omega: [lam for _, lam in model_spectrum(spec, CTX73, omega)]
+    eigs = set(labels(s.omega))
+    with pytest.raises(rw._Degenerate, match="repeat"):
+        build_eigenbasis(CTX73, w, spec, 1)
+    wrong = [x for x in range(2, 60) if len(set(labels(x))) == dim(spec) and set(labels(x)) != eigs]
+    assert len(wrong) >= 10
+    for omega in wrong[:10]:
+        with pytest.raises(rw._Degenerate, match="not an eigenvalue"):
+            build_eigenbasis(CTX73, w, spec, omega)
+
+
+@pytest.mark.parametrize(
+    "p,f,d,text,plant",
+    [(3, 2, 4, "ext(2)", False), (17, 1, 4, "sym(2)", True)],
+    ids=["search_ext2_q9", "untabled_sym2_q17"],
+)
+def test_rewrite_inverts_no_extension_matrix(p, f, d, text, plant, monkeypatch):
+    """The frame's inverse comes with the frame, so the only inverses in a
+    rewrite are the sampler's, of the generators over F_q."""
+    ctx = field_ctx(p, f, d)
+    spec = spec_of(text, q=ctx.q, d=d)
+    inst = gen_instance(ctx, spec, 2, seed=1, plant_singer=plant)
+    fields = []
+    inv = Matrix.inv
+    monkeypatch.setattr(Matrix, "inv", lambda M: fields.append(M.field) or inv(M))
+    res = rewrite(spec, list(inst.generators), ctx, RewriteConfig(rng_seed=1))
+    assert isinstance(res, RewriteResult)
+    assert ctx.base in fields and ctx.ext not in fields
 
 
 # -- the exact frame: theta as a vector, extraction without a fallback ----------------
@@ -710,7 +787,7 @@ def test_vector_calibration_matches_a_dense_diagonal_reference(p, f, d, text, mo
 
         monkeypatch.setattr(rw, name, wrapped)
 
-    spy("build_eigenbasis", lambda args, C0: seen.update(C0=C0, N=[]))
+    spy("build_eigenbasis", lambda args, out: seen.update(C0=out[0], N=[]))
     spy("_calibrate", lambda args, theta: seen.update(observations=list(args[2]), theta=theta))
     spy("reconstruct_generator", lambda args, _: seen["N"].append(args[0]))
     res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=1))
