@@ -34,7 +34,15 @@ from .errors import (
     SingerlabError,
 )
 from .ffield import field_ctx, is_primitive, prime_power
-from .instgen import Consistent, PlantedInstance, gen_instance, load_instance, oracle_check, save_instance
+from .instgen import (
+    Consistent,
+    PlantedInstance,
+    gen_instance,
+    load_instance,
+    oracle_check,
+    save_instance,
+    write_json,
+)
 from .matfq import Matrix, read_code, read_int
 from .rewrite import (
     Failure,
@@ -302,9 +310,7 @@ def cmd_rewrite(args) -> int:
         return EXIT_BUDGET
     out = args.out or _default_result_path(args.infile)
     data = result_to_dict(res, ctx.p, ctx.f)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out, data)
     payload = {"verdict": "ok", "path": out, "omega": res.omega, "scalars": list(res.scalars), "stats": data["stats"]}
 
     def text(pl):

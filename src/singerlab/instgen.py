@@ -12,7 +12,9 @@ public_x = nu_x * T @ induced(A_x) @ T^{-1}.
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInput
@@ -186,10 +188,22 @@ def instance_from_dict(data: dict) -> PlantedInstance:
     return PlantedInstance(p, f, d, spec, gens, oracle)
 
 
+def write_json(path: str, data: dict) -> None:
+    """Write data as sorted, indented JSON. An existing file is overwritten
+    in place and then cut to the new length, not truncated first: truncating
+    a file whose blocks are on disk frees them, and on ext4 that can stall
+    the writer for tens of milliseconds, while a rewrite of about the same
+    size reuses the blocks the file has."""
+    blob = (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(blob)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def save_instance(inst: PlantedInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, instance_to_dict(inst))
 
 
 def load_instance(path: str) -> PlantedInstance:

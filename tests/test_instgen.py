@@ -1,6 +1,7 @@
 """Planted instances, the ground-truth oracle, and file round trips."""
 
 import json
+import os
 import random
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from singerlab.instgen import (
     oracle_check,
     save_instance,
     tamper,
+    write_json,
 )
 from singerlab.matfq import Matrix, embed_matrix, random_invertible
 from singerlab.rewrite import RewriteConfig, RewriteResult, Verified, rewrite, verify_projective
@@ -124,6 +126,19 @@ def test_file_round_trip_is_byte_stable(tmp_path):
     save_instance(inst, str(p1))
     save_instance(load_instance(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    inst = gen_instance(CTX, SPEC, 2, seed=2)
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    save_instance(inst, str(fresh))
+    reused.write_bytes(b"x" * (3 * len(fresh.read_bytes())))
+    save_instance(inst, str(reused))
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_write_json_to_a_device_does_not_truncate():
+    write_json(os.devnull, {"a": 1})
 
 
 def test_malformed_file_rejected(tmp_path):
