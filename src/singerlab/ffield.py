@@ -220,6 +220,8 @@ class Field:
         self.reduction = self.powers[np.add.outer(np.arange(m), np.arange(m)).ravel()].T
         self.weights.flags.writeable = self.powers.flags.writeable = self.reduction.flags.writeable = False
         self.dtype = digit_dtype(p, m * m)  # matfq's digit storage: a fold sums m^2 digit products
+        # matfq's fold: the most summed digit products whose (m, m^2) reduction stays below 2^63
+        self.fold_terms = (2**63 - 1) // (m * m * (p - 1) ** 3)
         # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
         # m digit products plus m-1 folded high slots times digits of x^k mod modulus
         S = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()

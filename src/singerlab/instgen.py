@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidInput
 from .ffield import FieldCtx, field_ctx, prime_power
-from .matfq import Matrix, intertwining_scalars, random_invertible, read_int
+from .matfq import Matrix, intertwining_scalars, random_invertible, read_int, stack
 from .schur import (
     ModuleSpec,
     dim,
@@ -126,7 +126,10 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     generator x and one nonzero nu_x, that is public_x = nu_x * T @
     induced(A_x) @ T^{-1}. The stored T certifies or the instance is
     refused; no other intertwiner is searched for, so oracle data whose
-    own T is wrong is refused even when the publics are honest."""
+    own T is wrong is refused even when the publics are honest. The
+    generators and the oracle preimages each go in as one stack: one
+    induced_matrix call, two stacked products with T and one stacked
+    compare certify every generator."""
     require_images(inst.spec, inst.ctx, inst.generators)
     if inst.oracle is None:
         return Inconsistent("instance carries no oracle data")
@@ -135,7 +138,7 @@ def oracle_check(inst: PlantedInstance) -> Consistent | Inconsistent:
     T = inst.oracle.T
     if not T.is_invertible():
         return Inconsistent("oracle T is not invertible")
-    nus = intertwining_scalars(T, inst.generators, (induced_matrix(inst.spec, A) for A in inst.oracle.A))
+    nus = intertwining_scalars(T, stack(inst.generators), induced_matrix(inst.spec, stack(inst.oracle.A)))
     if None in nus:
         return Inconsistent(f"generator {nus.index(None)} is not a multiple of its oracle image conjugated by T")
     return Consistent(tuple(nus))

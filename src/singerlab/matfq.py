@@ -1,16 +1,25 @@
 """Dense exact linear algebra over the fields in ffield.
 
 A Matrix holds the base-p digit tensor of its entries' codes (as in
-ffield), shape (m, rows, cols); codes are converted only at the boundary
-(from_rows, scale, .a, tolist, scalar reads of pivots and entries). Sums
-are digitwise mod p, and a product is the batch of m^2 F_p products of
-digit planes, folded back to m digits by Field.reduction, whose column
-i*m + j holds x^(i+j) mod the field's modulus. Frobenius and the tower
-embedding are F_p-linear maps on the digit axis. Prime fields are m = 1.
-When a sum of products could reach 2^63 it runs on Python-int object
-arrays. Elimination does one vectorized rank-1 update per pivot, and pivots
-are always the first nonzero entry in scan order, so every result is
-deterministic.
+ffield), shape (m, *batch, rows, cols); codes are converted only at the
+boundary (from_rows, scale, .a, tolist, scalar reads of pivots and
+entries). The batch axes make it a stack of equally shaped matrices, and a
+single matrix is the stack with no batch axes: products, scale, kron, the
+symmetric and exterior powers, Frobenius and the tower embedding act on
+every member at once, and a single matrix broadcasts against a stack.
+Elimination, inverses and the characteristic polynomial take one matrix.
+
+Sums are digitwise mod p, and a product is the batch of m^2 F_p products
+of digit planes, folded back to m digits by Field.reduction, whose column
+i*m + j holds x^(i+j) mod the field's modulus. A fold reduces its digit
+products mod p before that (m, m^2) reduction only when m^2 * terms *
+(p-1)^3 could reach 2^63, terms being the digit products each entry sums
+(Field.fold_terms is the largest count that needs no pre-pass). Frobenius
+and the tower embedding are F_p-linear maps on the digit axis. Prime
+fields are m = 1. When a sum of products could reach 2^63 it runs on
+Python-int object arrays. Elimination does one vectorized rank-1 update per
+pivot, and pivots are always the first nonzero entry in scan order, so
+every result is deterministic.
 """
 
 from __future__ import annotations
@@ -54,17 +63,32 @@ def _join(F: Field, D: np.ndarray) -> np.ndarray:
     return (F.weights @ D.reshape(F.m, -1)).reshape(D.shape[1:]).astype(F.weights.dtype, copy=False)
 
 
-def _fold(F: Field, P: np.ndarray) -> np.ndarray:
-    """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), to digits."""
+def _fold(F: Field, P: np.ndarray, terms: int) -> np.ndarray:
+    """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), each entry
+    a sum of `terms` products of two digits, to digits. Such an entry is below
+    terms * (p-1)^2, so the reduction's m^2 products by digits below p stay
+    under 2^63 without reducing P mod p first while terms <= F.fold_terms."""
     if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
         return (P[0] % F.p).astype(F.dtype, copy=False)
-    flat = (P % F.p).reshape(F.m * F.m, -1)
+    if terms > F.fold_terms:
+        P = P % F.p
+    flat = P.reshape(F.m * F.m, -1)
     return (F.reduction @ flat % F.p).reshape(P.shape[1:]).astype(F.dtype, copy=False)
 
 
+def _aligned(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y, the one with fewer axes given unit batch axes after its digit
+    axis: a single matrix or factor then broadcasts over a stack's members."""
+    if X.ndim == Y.ndim:
+        return X, Y
+    nd = max(X.ndim, Y.ndim)
+    return tuple(D.reshape(D.shape[:1] + (1,) * (nd - D.ndim) + D.shape[1:]) for D in (X, Y))
+
+
 def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Entrywise product of broadcastable digit tensors."""
-    return _fold(F, X[:, None] * Y[None])
+    """Entrywise product of digit tensors that broadcast after the digit axis."""
+    X, Y = _aligned(X, Y)
+    return _fold(F, X[:, None] * Y[None], 1)
 
 
 def _first_nonzero(col: np.ndarray) -> int | None:
@@ -118,9 +142,9 @@ class Matrix:
         return Matrix(field, np.zeros((field.m, r, c), dtype=field.dtype))
 
     @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        M = Matrix.zeros(field, n, n)
-        M.D[0, range(n), range(n)] = 1
+    def identity(field: Field, n: int, batch: tuple[int, ...] = ()) -> "Matrix":
+        M = Matrix(field, np.zeros((field.m, *batch, n, n), dtype=field.dtype))
+        M.D[0, ..., range(n), range(n)] = 1
         return M
 
     @property
@@ -133,7 +157,17 @@ class Matrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.D.shape[1:]
+        """(rows, cols) of the matrix, or of every member of a stack."""
+        return self.D.shape[-2:]
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The stack's batch axes: () for a single matrix."""
+        return self.D.shape[1:-2]
+
+    def members(self) -> list["Matrix"]:
+        """The matrices along the first batch axis."""
+        return [Matrix(self.field, D) for D in np.moveaxis(self.D, 1, 0)]
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.D.copy())
@@ -145,7 +179,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.shape == other.shape
+            and self.D.shape == other.D.shape
             and bool((self.D == other.D).all())
         )
 
@@ -157,8 +191,8 @@ class Matrix:
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         self._peer(other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+        if self.D.shape != other.D.shape:
+            raise ShapeMismatch(f"{self.D.shape[1:]} vs {other.D.shape[1:]}")
         return Matrix(self.field, op(self.D, other.D) % self.field.p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -172,19 +206,21 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         """Entrywise product with c: one code, an (r, 1) column of row factors
-        (diag(c) @ self) or a (1, c) row of column factors (self @ diag(c))."""
+        (diag(c) @ self) or a (1, c) row of column factors (self @ diag(c)),
+        the same for every member of a stack, or with the stack's batch axes
+        in front for factors per member."""
         c = np.reshape(c, (1, 1)) if np.ndim(c) == 0 else np.asarray(c)
-        if c.shape not in ((1, 1), (self.shape[0], 1), (1, self.shape[1])):
-            raise ShapeMismatch(f"cannot scale a {self.shape} matrix by {c.shape} factors")
+        if c.shape[-2:] not in ((1, 1), (self.shape[0], 1), (1, self.shape[1])) or c.shape[:-2] not in ((), self.batch):
+            raise ShapeMismatch(f"cannot scale a {self.D.shape[1:]} stack by {c.shape} factors")
         return Matrix(self.field, _mul(self.field, _split(self.field, c), self.D))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._peer(other)
         F, k = self.field, self.shape[1]
-        if k != other.shape[0]:
-            raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        X, Y = _widen(F, self.D, k), _widen(F, other.D, k)
-        return Matrix(F, _fold(F, X[:, None] @ Y[None]))
+        if k != other.shape[0] or (self.batch and other.batch and self.batch != other.batch):
+            raise ShapeMismatch(f"{self.D.shape[1:]} @ {other.D.shape[1:]}")
+        X, Y = _aligned(_widen(F, self.D, k), _widen(F, other.D, k))
+        return Matrix(F, _fold(F, X[:, None] @ Y[None], k))
 
     def pow(self, e: int) -> "Matrix":
         n, n2 = self.shape
@@ -197,7 +233,7 @@ class Matrix:
         return out.copy() if out is self else out
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.D.transpose(0, 2, 1).copy())
+        return Matrix(self.field, np.swapaxes(self.D, -1, -2).copy())
 
     # -- elimination --------------------------------------------------------
 
@@ -214,7 +250,8 @@ class Matrix:
             piv = _first_nonzero(D[:, row:, col])
             if piv is None:
                 continue
-            D[:, [row, row + piv]] = D[:, [row + piv, row]]
+            if piv:
+                D[:, [row, row + piv]] = D[:, [row + piv, row]]
             D[:, row, col:] = _mul(F, _inverse(F, D[:, row, col])[:, None], D[:, row, col:])
             t = D[:, :, col].copy()
             t[:, row] = 0
@@ -246,30 +283,49 @@ class Matrix:
         return n == n2 and len(self.rref()[1]) == n
 
 
-def proportional(L: Matrix, R: Matrix) -> int | None:
-    """The nonzero scalar mu with L == mu * R, or None. Zero patterns must agree."""
-    if L.shape != R.shape or not R.D.any():
-        return None
-    i, j = np.argwhere(R.D.any(0))[0]
-    mu = L.field.div(L.field.encode(L.D[:, i, j].tolist()), R.field.encode(R.D[:, i, j].tolist()))
-    if mu == 0:
-        return None
-    return mu if L == R.scale(mu) else None
+def proportional(L: Matrix, R: Matrix) -> list[int | None]:
+    """Per member of two stacks of one shape, in batch order, the nonzero
+    scalar mu with L == mu * R, or None; a single matrix is a one-member
+    stack. Zero patterns must agree. mu is the ratio at R's first nonzero
+    entry: one field division per member, then one stacked scale and
+    compare."""
+    L._peer(R)
+    if L.D.shape != R.D.shape:
+        raise ShapeMismatch(f"{L.D.shape[1:]} vs {R.D.shape[1:]}")
+    F, (r, c) = L.field, L.shape
+    Ld, Rd = (M.D.reshape(F.m, -1, r * c) for M in (L, R))
+    at, pick = Rd.any(0).argmax(1), np.arange(Rd.shape[1])  # a zero member reads 0 at 0, so its mu is 0
+    num, den = _join(F, Ld[:, pick, at]).tolist(), _join(F, Rd[:, pick, at]).tolist()
+    mus = [F.div(x, y) if y else 0 for x, y in zip(num, den)]
+    S = R.scale(np.array(mus, dtype=F.weights.dtype).reshape(L.batch + (1, 1)))
+    same = (Ld == S.D.reshape(Ld.shape)).all((0, 2))
+    return [mu if mu and ok else None for mu, ok in zip(mus, same.tolist())]
 
 
-def intertwining_scalars(X: Matrix, lefts, rights) -> list[int | None]:
-    """Per pair (L, R), the nonzero mu with L @ X == mu * X @ R, or None. With
-    X invertible that is L == mu * X @ R @ X^{-1}: the certificate both
-    rewrite's results and an instance's oracle data must pass."""
-    return [proportional(L @ X, X @ R) for L, R in zip(lefts, rights)]
+def intertwining_scalars(X: Matrix, lefts: Matrix, rights: Matrix) -> list[int | None]:
+    """Per member pair (L, R) of two stacks, the nonzero mu with L @ X == mu *
+    X @ R, or None. With X invertible that is L == mu * X @ R @ X^{-1}: the
+    certificate both rewrite's results and an instance's oracle data must
+    pass. L @ X and X @ R are each one stacked product."""
+    return proportional(lefts @ X, X @ rights)
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, left factor major: entry ((i,k),(j,l)) = A[i,j] B[k,l]."""
     A._peer(B)
     F, (ra, ca), (rb, cb) = A.field, A.shape, B.shape
-    D = _mul(F, A.D[:, :, None, :, None], B.D[:, None, :, None, :])
-    return Matrix(F, D.reshape(F.m, ra * rb, ca * cb))
+    D = _mul(F, A.D[..., :, None, :, None], B.D[..., None, :, None, :])
+    return Matrix(F, D.reshape(D.shape[:-4] + (ra * rb, ca * cb)))
+
+
+def stack(mats) -> Matrix:
+    """The matrices, all of one shape, as a stack along a new first batch axis."""
+    mats = list(mats)
+    for M in mats:
+        mats[0]._peer(M)
+        if M.D.shape != mats[0].D.shape:
+            raise ShapeMismatch(f"cannot stack {M.D.shape[1:]} with {mats[0].D.shape[1:]}")
+    return Matrix(mats[0].field, np.stack([M.D for M in mats], axis=1))
 
 
 def vstack(blocks: list[Matrix]) -> Matrix:
@@ -315,9 +371,9 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
     for s in range(2, k + 1):
         first, rest, at, drop = _compound_plan(r, c, s)
         # term j: A[R[0], C[j]] * (-1)^j * minor(R[1:], C without C[j])
-        head, tail = X[:, first, at], M[:, rest, drop]
+        head, tail = X[..., first, at], M[..., rest, drop]
         tail[..., 1::2] = -tail[..., 1::2] % F.p
-        M = _fold(F, (head[:, None] * tail[None]).sum(-1))
+        M = _fold(F, (head[:, None] * tail[None]).sum(-1), s)
     return Matrix(F, M)
 
 
@@ -354,7 +410,8 @@ def symmetric_power(A: Matrix, k: int) -> Matrix:
     count of a multiset. Coefficients of size s come from those of size
     s - 1 for every multiset pair at once:
     Q_s[N, M] = sum_i A[i, M_last] * Q_{s-1}[N - e_i, M - M_last],
-    read from an appended zero row when i is not in N."""
+    read from an appended zero row when i is not in N: per column M one
+    (1, r) @ (r, rows) product, all columns of every member in one matmul."""
     F = A.field
     if k >= F.p:
         raise UnsupportedFactor(f"sym({k}) needs k < characteristic {F.p}")
@@ -362,26 +419,26 @@ def symmetric_power(A: Matrix, k: int) -> Matrix:
     X, Q = _widen(F, A.D, r), A.D
     for s in range(2, k + 1):
         drop, last, rest = _sym_plan(r, c, s)
-        Qz = np.concatenate([Q, 0 * Q[:, :1]], axis=1)
-        Q = _fold(F, (X[:, None, :, None, last] * Qz[None, :, drop, rest]).sum(2))
+        Qz = np.concatenate([Q, 0 * Q[..., :1, :]], axis=-2)
+        L = np.swapaxes(X[..., last], -1, -2)[..., None, :]  # (m, ..., M, 1, i)
+        G = np.moveaxis(Qz[..., drop, rest], -1, -3)  # (m, ..., M, i, N)
+        Q = _fold(F, np.swapaxes((L[:, None] @ G[None])[..., 0, :], -1, -2), r)
     return Matrix(F, Q * _sym_ratio(r, c, k, F.p).astype(Q.dtype, copy=False) % F.p)
 
 
-def word_products(gens: list[Matrix], words) -> list[Matrix]:
-    """The product of every word, a sequence of indices into gens, taken
-    left to right. All words advance one letter at a time on one digit
-    tensor with a batch axis; the empty word gives the identity."""
-    F, n, pad = gens[0].field, gens[0].shape[0], len(gens)
-    for g in gens:
-        gens[0]._peer(g)
-    G = np.stack([g.D for g in gens] + [Matrix.identity(F, n).D], axis=1)
+def word_products(gens: Matrix, words) -> Matrix:
+    """The stack of every word's product, a word being a sequence of indices
+    into the stack gens, taken left to right. All words advance one letter
+    at a time on one digit stack; the empty word gives the identity."""
+    (pad,), F, n = gens.batch, gens.field, gens.shape[0]
+    G = np.concatenate([gens.D, Matrix.identity(F, n).D[:, None]], axis=1)
     width = max([1, *map(len, words)])
     W = np.array([[*w] + [pad] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
     P, G = G[:, W[:, 0]], _widen(F, G, n)
     for j in range(1, width):
         on = W[:, j] != pad
-        P[:, on] = _fold(F, P[:, None, on] @ G[None, :, W[on, j]])
-    return [Matrix(F, D) for D in np.moveaxis(P, 1, 0)]
+        P[:, on] = _fold(F, P[:, None, on] @ G[None, :, W[on, j]], n)
+    return Matrix(F, P)
 
 
 def kernel_basis(A: Matrix) -> list[list[int]]:
@@ -431,7 +488,7 @@ def _hessenberg(A: Matrix) -> Matrix:
         t = _mul(F, D[:, :, j], _inverse(F, D[:, j + 1, j])[:, None])
         t[:, : j + 2] = 0
         D = (D - _mul(F, t[:, :, None], D[:, None, j + 1])) % F.p
-        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, _widen(F, D, n)[:, None] @ t[None, :, :, None])[..., 0]) % F.p
+        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, _widen(F, D, n)[:, None] @ t[None, :, :, None], n)[..., 0]) % F.p
     return Matrix(F, D)
 
 
@@ -473,7 +530,7 @@ def embed_matrix(ctx: FieldCtx, A: Matrix) -> Matrix:
     ext, dt = ctx.ext, ctx.ext.dtype
     E = np.array([ext.decode(ctx.embed(ctx.p**j)) for j in range(ctx.f)], dtype=dt).T
     D = E @ A.D.astype(dt, copy=False).reshape(ctx.f, -1) % ctx.p
-    return Matrix(ext, D.reshape((ext.m,) + A.shape))
+    return Matrix(ext, D.reshape((ext.m,) + A.D.shape[1:]))
 
 
 def random_invertible(F: Field, n: int, rng) -> Matrix:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import FieldCtx, factorint, nth_roots, poly_deriv, poly_divmod, poly_gcd, roots_in_extension
+from .ffield import DensePoly, FieldCtx, factorint, nth_roots, poly_deriv, poly_divmod, poly_gcd, roots_in_extension
 from .matfq import (
     Matrix,
     char_poly,
@@ -44,6 +44,7 @@ from .matfq import (
     embed_matrix,
     intertwining_scalars,
     kernel_basis,
+    stack,
     symmetric_power,
     vstack,
     word_products,
@@ -56,7 +57,6 @@ from .schur import (
     factor_dim,
     factor_labels,
     induced_matrix,
-    model_spectrum,
     require_images,
     require_supported,
     twist_matrix,
@@ -187,27 +187,46 @@ class ElementSampler:
 # ---------------------------------------------------------------------------
 
 
+def _matching_model(rho: int, patterns: list[DigitVector], exponents: list[int], eigenvalues: set[int], ext):
+    """The model (c, rho^phi(c)) in label order if its values are exactly
+    the n distinct eigenvalues, else None: it stops at the first value that
+    is no eigenvalue or repeats one."""
+    labels: list[tuple[DigitVector, int]] = []
+    seen: set[int] = set()
+    for c, e in zip(patterns, exponents):
+        v = ext.pow(rho, e)
+        if v not in eigenvalues or v in seen:
+            return None
+        seen.add(v)
+        labels.append((c, v))
+    return tuple(labels)
+
+
 def recover_omega(
     eigenvalues: list[int],
     spec: ModuleSpec,
     ctx: FieldCtx,
     stats: RewriteStats | None = None,
-) -> tuple[int, dict[int, DigitVector]] | None:
+) -> tuple[int, tuple[tuple[DigitVector, int], ...]] | None:
     """The first omega with {omega^phi(c)} equal to the given eigenvalue set
     (a model with two patterns on one value never is), trying each
     eigenvalue as the image of the lex-greatest pattern c0: the candidates
     are its phi(c0)-th roots. The set is Frobenius stable and the model of
     rho^q is the q-th power of rho's, so a failed eigenvalue's whole orbit
-    fails and is skipped. Returns (omega, eigenvalue -> pattern) or None."""
+    fails and is skipped. Returns (omega, labels), labels being its model
+    (c, omega^phi(c)) in label order as schur.model_spectrum lists it, or
+    None."""
     ext = ctx.ext
     n1 = ext.order - 1
     patterns = list(aggregated_patterns(spec))
-    if len(set(eigenvalues)) != len(patterns) or len(set(patterns)) != len(patterns):
+    n = len(patterns)
+    if len(eigenvalues) != n or len(set(eigenvalues)) != n or len(set(patterns)) != n:
         return None
+    exponents = [phi(c, ctx.q, ctx.d) for c in patterns]
     e0 = phi(max(patterns), ctx.q, ctx.d)
     if e0 == 0 or math.gcd(e0, n1) > ROOT_ENUM_CAP:
         return None
-    want = sorted(eigenvalues)
+    want = set(eigenvalues)
     failed: set[int] = set()
     for lam in eigenvalues:
         if lam in failed:
@@ -215,9 +234,9 @@ def recover_omega(
         if stats is not None:
             stats.dlog_calls += 1
         for rho in nth_roots(ext, e0, lam):
-            labeling = {v: c for c, v in model_spectrum(spec, ctx, rho)}
-            if sorted(labeling) == want:
-                return rho, labeling
+            labels = _matching_model(rho, patterns, exponents, want, ext)
+            if labels is not None:
+                return rho, labels
         while lam not in failed:
             failed.add(lam)
             lam = ctx.frobenius(lam, 1)
@@ -263,10 +282,12 @@ def find_singer_candidate(
     budget: int,
     stats: RewriteStats,
     try_generators: bool = True,
-) -> tuple[Matrix, int, dict[int, DigitVector]] | None:
+) -> tuple[Matrix, DensePoly, int, tuple[tuple[DigitVector, int], ...]] | None:
     """Search the group for an element with simple, fully split spectrum
     matching the digit model of some omega. Generators are tried before random
-    words since a planted instance often exposes one directly.
+    words since a planted instance often exposes one directly. Returns the
+    element, its characteristic polynomial over F_q, omega and its labels
+    (recover_omega), or None.
 
     Rejection runs over F_q. Once the characteristic polynomial of m is
     squarefree it is also its minimal polynomial, so m is diagonalizable
@@ -289,7 +310,7 @@ def find_singer_candidate(
         eigs = [lam for lam, _ in roots_in_extension(ctx, cp)]
         got = recover_omega(eigs, spec, ctx, stats)
         if got is not None:
-            return m, got[0], got[1]
+            return m, cp, *got
     return None
 
 
@@ -298,23 +319,29 @@ def find_singer_candidate(
 # ---------------------------------------------------------------------------
 
 
-def build_eigenbasis(ctx: FieldCtx, element: Matrix, spec: ModuleSpec, omega: int) -> tuple[Matrix, Matrix]:
-    """The frame C0 over F_{q^d}, one left eigenrow of W per label in label
-    order, each scaled to leading entry 1, and C0^-1, whose columns are the
-    matching right eigencolumns v with row @ v = 1. No elimination: for n
-    distinct roots lam of chi, g = chi / (x - lam) makes g(W) a nonzero
-    multiple of v @ row, the rank-one Lagrange-Sylvester projector (Horn &
-    Johnson 1991, 6.1), and g(W) is g's coefficient row times S, the rows
-    W^k flattened. One projector per q-power Frobenius orbit: W is over F_q,
-    so row^(q) @ W = lam^q * row^(q) entrywise, and normalized eigenvectors
-    of one-dimensional eigenspaces are unique, so the orbit's other rows and
-    columns are the q-powers of the first."""
+def build_eigenbasis(
+    ctx: FieldCtx, element: Matrix, chi: DensePoly, labels: tuple[tuple[DigitVector, int], ...]
+) -> tuple[Matrix, Matrix]:
+    """The frame C0 over F_{q^d} of the element W over F_q, one left
+    eigenrow of W per label (c, lam) in label order, each scaled to leading
+    entry 1, and C0^-1, whose columns are the matching right eigencolumns v
+    with row @ v = 1. chi is W's characteristic polynomial over F_q, and
+    labels are the model of some omega, as recover_omega returns them.
+
+    No elimination: for n distinct roots lam of chi, g = chi / (x - lam)
+    makes g(W) a nonzero multiple of v @ row, the rank-one
+    Lagrange-Sylvester projector (Horn & Johnson 1991, 6.1), and g(W) is
+    g's coefficient row times S, the rows W^k flattened. One projector per
+    q-power Frobenius orbit: W is over F_q, so row^(q) @ W = lam^q *
+    row^(q) entrywise, and normalized eigenvectors of one-dimensional
+    eigenspaces are unique, so the orbit's other rows and columns are the
+    q-powers of the first."""
     ext, n = ctx.ext, element.shape[0]
     W = embed_matrix(ctx, element)
-    chi = ctx.embed_poly(char_poly(element))
+    chi = ctx.embed_poly(chi)
     powers = itertools.accumulate([element] * (n - 1), operator.matmul, initial=Matrix.identity(element.field, n))
     S = embed_matrix(ctx, vstack([Matrix(element.field, P.D.reshape(-1, 1, n * n)) for P in powers]))
-    lams = [lam for _, lam in model_spectrum(spec, ctx, omega)]
+    lams = [lam for _, lam in labels]
     if len(set(lams)) != n:
         raise _Degenerate("the labels repeat an eigenvalue")
     frame: dict[int, tuple[Matrix, Matrix]] = {}  # lam -> (eigenrow, eigencolumn as a row)
@@ -601,10 +628,14 @@ def verify_projective(
     and is never formed that way: right-multiplying by C keeps
     proportionality and its scalar. A generator is the one-letter word.
 
-    Words are drawn only after every generator passes, so a refuted
-    generator leaves rng where it was. Once every generator holds with scalar mu_i, a
-    word w has induced(A_w) = prod induced(A_i) = prod mu_i * C E_w C^{-1},
-    so a word check fails only if induced_matrix is not multiplicative."""
+    Each pass, first the generators and then the words, is one stack: one
+    word_products per side, one induced_matrix call, one embed_matrix, and
+    one intertwining_scalars (two stacked products with C and one stacked
+    compare). Words are drawn only after every generator passes, so a
+    refuted generator leaves rng where it was. Once every generator holds
+    with scalar mu_i, a word w has induced(A_w) = prod induced(A_i) = prod
+    mu_i * C E_w C^{-1}, so a word check fails only if induced_matrix is not
+    multiplicative."""
     require_images(spec, ctx, publics)
     if C.field != ctx.ext:
         raise InvalidInput("frame must live over the extension field")
@@ -616,11 +647,12 @@ def verify_projective(
     if not C.is_invertible():
         return Refuted("frame is not invertible")
 
+    A, E = stack(preimages), stack(publics)
+
     def scalars(seqs: list[list[int]]) -> list[int | None]:
         """Per word w, the mu with induced(A_w) @ C == mu * C @ E_w, or None."""
-        images = (induced_matrix(spec, AW) for AW in word_products(preimages, seqs))
-        models = (embed_matrix(ctx, EW) for EW in word_products(publics, seqs))
-        return intertwining_scalars(C, images, models)
+        images = induced_matrix(spec, word_products(A, seqs))
+        return intertwining_scalars(C, images, embed_matrix(ctx, word_products(E, seqs)))
 
     mus = scalars([[i] for i in range(len(publics))])
     if None in mus:
@@ -662,7 +694,7 @@ def rewrite(
         sampler = ElementSampler(publics, rng)
     except SingularMatrix as exc:
         raise InvalidInput("generator images must be invertible") from exc
-    epubs = [embed_matrix(ctx, g) for g in publics]
+    epubs = embed_matrix(ctx, stack(publics))
 
     # Element search owns the whole trial budget, tracked globally across
     # attempts; the attempt cap only bounds how often a found candidate's
@@ -679,17 +711,17 @@ def rewrite(
         )
         if cand is None:
             break
-        s_w, omega, _ = cand
+        s_w, chi, omega, labels = cand
         try:
-            C0, c0inv = build_eigenbasis(ctx, s_w, spec, omega)
+            C0, c0inv = build_eigenbasis(ctx, s_w, chi, labels)
 
             def mhat(m_ext: Matrix) -> Matrix:
                 return twist_matrix(C0 @ m_ext @ c0inv, ctx.q, e_back)
 
             def more() -> Matrix:
-                return mhat(word_products(epubs, _draw_words(rng, len(epubs), 1))[0])
+                return mhat(word_products(epubs, _draw_words(rng, len(publics), 1))).members()[0]
 
-            observations = [mhat(m) for m in epubs]
+            observations = mhat(epubs).members()
             if all(np.count_nonzero(a := O.a) == np.count_nonzero(a.diagonal()) for O in observations):
                 # The group sits inside the torus this frame splits; the
                 # correction is unconstrained and unnecessary, so none is made.
@@ -705,7 +737,6 @@ def rewrite(
             ver = verify_projective(spec, ctx, publics, C, preimages, rng=rng)
             if isinstance(ver, Refuted):
                 raise _Degenerate(f"verification rejected the attempt: {ver.detail}")
-            labels = tuple(model_spectrum(spec, ctx, omega))
             stats.wall_time = time.perf_counter() - t0
             return RewriteResult(spec, omega, C, labels, preimages, ver.scalars, stats)
         except _Degenerate as exc:

@@ -269,7 +269,8 @@ def twist_matrix(M: Matrix, q: int, e: int) -> Matrix:
 
 def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
     """The action of A on the module: functor per factor, twist entrywise
-    after the functor, factors combined by Kronecker product in order."""
+    after the functor, factors combined by Kronecker product in order. A
+    stack of matrices gives the stack of their actions."""
     d = spec.d
     if A.shape != (d, d):
         raise ShapeMismatch(f"expected a {d}x{d} matrix, got {A.shape}")
@@ -282,4 +283,4 @@ def induced_matrix(spec: ModuleSpec, A: Matrix) -> Matrix:
         else:
             B = compound_matrix(A, f.k)
         blocks.append(twist_matrix(B, spec.q, f.twist))
-    return reduce(kron, blocks) if blocks else Matrix.identity(A.field, 1)
+    return reduce(kron, blocks) if blocks else Matrix.identity(A.field, 1, A.batch)

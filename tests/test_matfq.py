@@ -5,14 +5,16 @@ import random
 from math import factorial
 from functools import reduce
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singerlab.errors import InvalidInput, ShapeMismatch, SingularMatrix
 from singerlab.ffield import Field, field_ctx, roots_in_extension
 from singerlab.matfq import (
     Matrix,
+    intertwining_scalars,
     char_poly,
     companion_matrix,
     compound_matrix,
@@ -20,9 +22,11 @@ from singerlab.matfq import (
     kernel_basis,
     kron,
     random_invertible,
+    stack,
     symmetric_power,
     word_products,
 )
+from singerlab.schur import twist_matrix
 
 F5 = Field(5)
 F7 = Field(7)
@@ -439,9 +443,105 @@ def test_scale_by_row_or_column_factors_matches_dense_diagonal_products(F):
 def test_word_products_match_sequential_chains(F):
     gens = [rand_matrix(F, 4, seed) for seed in range(3)]
     words = [[2], [0, 1, 2, 0, 0, 1], [1, 1], [], [2, 0, 1, 1, 0, 2, 2, 1, 0]]
-    for w, got in zip(words, word_products(gens, words), strict=True):
+    for w, got in zip(words, word_products(stack(gens), words).members(), strict=True):
         want = reduce(lambda m, i: m @ gens[i], w, Matrix.identity(F, 4))
         assert got == want
     one = [[0], [0, 0, 0]]
-    assert word_products(gens[:1], one) == [gens[0], gens[0] @ gens[0] @ gens[0]]
-    assert word_products(gens, []) == []
+    assert word_products(stack(gens[:1]), one).members() == [gens[0], gens[0] @ gens[0] @ gens[0]]
+    assert word_products(stack(gens), []).members() == []
+
+
+# -- stacks: each member equals the single-matrix call ---------------------------
+
+# (base, extension): prime F_7 and tabled F_49, tabled F_9 and F_81, prime F_17
+# and untabled F_{17^4}, prime F_{2^31-1} and its cube, whose digits are Python ints
+STACK_CTXS = [field_ctx(7, 1, 2), field_ctx(3, 2, 2), field_ctx(17, 1, 4), field_ctx(2**31 - 1, 1, 3)]
+
+
+def _random_stack(F, batch, n, rng):
+    """A stack of `batch` random n x n matrices over F, and its members built one by one."""
+    mats = [Matrix.from_rows(F, [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]) for _ in range(batch)]
+    return (stack(mats) if mats else Matrix(F, np.zeros((F.m, 0, n, n), dtype=F.dtype))), mats
+
+
+@pytest.mark.parametrize("ctx", STACK_CTXS, ids=["F7<F49", "F9<F81", "F17<F17^4", "F(2^31-1)<cube"])
+@given(batch=st.integers(0, 3), n=st.integers(1, 4), seed=st.integers(0, 2**32))
+@example(batch=0, n=3, seed=0)
+@example(batch=1, n=3, seed=1)
+@settings(max_examples=12, deadline=None)
+def test_stacked_ops_equal_the_single_matrix_calls(ctx, batch, n, seed):
+    """@ (stack by stack, stack by single, single by stack), scale (one code,
+    row factors, one code per member), symmetric_power, compound_matrix,
+    kron, twist_matrix, embed_matrix and word_products give, member by
+    member, what the same call gives on each member alone."""
+    rng = random.Random(seed)
+    for F in (ctx.base, ctx.ext):
+        S, mats = _random_stack(F, batch, n, rng)
+        T, others = _random_stack(F, batch, n, rng)
+        (X,) = _random_stack(F, 1, n, rng)[1]
+        code, rows = rng.randrange(F.order), [[rng.randrange(F.order)] for _ in range(n)]
+        codes = [rng.randrange(F.order) for _ in range(batch)]
+        cases = [
+            (S @ T, [A @ B for A, B in zip(mats, others)]),
+            (S @ X, [A @ X for A in mats]),
+            (X @ S, [X @ A for A in mats]),
+            (S.scale(code), [A.scale(code) for A in mats]),
+            (S.scale(rows), [A.scale(rows) for A in mats]),
+            (S.scale(np.array(codes, dtype=object).reshape(batch, 1, 1)), [A.scale(c) for A, c in zip(mats, codes)]),
+            (symmetric_power(S, 2), [symmetric_power(A, 2) for A in mats]),
+            (compound_matrix(S, min(2, n)), [compound_matrix(A, min(2, n)) for A in mats]),
+            (kron(S, T), [kron(A, B) for A, B in zip(mats, others)]),
+            (twist_matrix(S, F.p, 1), [twist_matrix(A, F.p, 1) for A in mats]),
+        ]
+        for got, want in cases:
+            assert got.batch == (batch,) and got.members() == want
+        words = [[rng.randrange(3) for _ in range(rng.randrange(5))] for _ in range(batch)]
+        G, gens = _random_stack(F, 3, n, rng)
+        chains = [reduce(lambda m, i: m @ gens[i], w, Matrix.identity(F, n)) for w in words]
+        assert word_products(G, words).members() == chains
+    S, mats = _random_stack(ctx.base, batch, n, rng)
+    assert embed_matrix(ctx, S).members() == [embed_matrix(ctx, A) for A in mats]
+
+
+def test_intertwining_scalars_read_every_member_on_its_own():
+    """One stacked certificate gives each member's own scalar, or None where
+    that member alone is not proportional, as the one-member call does."""
+    F, rng = F17_4, random.Random(5)
+    X = random_invertible(F, 3, rng)
+    Rs = [rand_matrix(F, 3, seed) for seed in range(4)] + [Matrix.zeros(F, 3, 3)]
+    mus = [rng.randrange(1, F.order) for _ in Rs]
+    Ls = [(X @ R @ X.inv()).scale(mu) for R, mu in zip(Rs, mus)]
+    Ls[1] = Ls[1] + Matrix.identity(F, 3)  # no longer a multiple
+    Ls[2] = Ls[2].scale(0)  # zero against a nonzero model
+    got = intertwining_scalars(X, stack(Ls), stack(Rs))
+    assert got == [mus[0], None, None, mus[3], None]
+    assert got == [intertwining_scalars(X, L, R)[0] for L, R in zip(Ls, Rs)]
+
+
+# -- the fold's pre-pass bound against schoolbook products ----------------------
+
+
+@pytest.mark.parametrize(
+    "F,n,pre_pass",
+    [(Field(524287, 4), 40, True), (Field(2, 64), 6, False), (Field(3, 8), 12, False), (F17_4, 12, False)],
+    ids=["F(2^19-1)^4", "F2^64", "F3^8", "F17^4"],
+)
+def test_products_fold_exactly_on_both_sides_of_the_pre_pass_bound(F, n, pre_pass):
+    """A fold reduces its digit products mod p before the (m, m^2) reduction
+    only when m^2 * terms * (p-1)^3 could reach 2^63. F_{(2^19-1)^4} keeps
+    int64 digits but its bound holds for 4 terms only, so an n x n product
+    needs the pre-pass while an entrywise one (kron) does not; on the other
+    fields no fold needs it. Every product equals the schoolbook one built
+    with Field.mul, on random entries and on entries whose digits are all
+    p - 1."""
+    assert F.dtype == np.int64 and (F.fold_terms < n) == pre_pass and F.fold_terms >= 1
+    rng = random.Random(F.p * F.m)
+    top = [[F.order - 1] * n for _ in range(n)]
+    rand = lambda: [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]
+    dot = lambda row, col: reduce(F.add, (F.mul(x, y) for x, y in zip(row, col)))
+    for A, B in [(top, top), (rand(), rand()), (top, rand())]:
+        assert (Matrix.from_rows(F, A) @ Matrix.from_rows(F, B)).tolist() == [[dot(r, c) for c in zip(*B)] for r in A]
+    A, B = [row[:3] for row in top[:3]], [row[:2] for row in rand()[:2]]
+    assert kron(Matrix.from_rows(F, A), Matrix.from_rows(F, B)).tolist() == [
+        [F.mul(A[i][j], B[k][l]) for j in range(3) for l in range(2)] for i in range(3) for k in range(2)
+    ]

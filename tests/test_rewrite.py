@@ -29,6 +29,7 @@ from singerlab.matfq import (
     kernel_basis,
     proportional,
     random_invertible,
+    stack,
 )
 from singerlab.rewrite import (
     VERIFICATION_WORDS,
@@ -69,6 +70,12 @@ def planted(ctx, spec, seed, n_extra=1):
     return publics, T, gens
 
 
+def eigenbasis(ctx, w, spec, omega):
+    """build_eigenbasis on w with its characteristic polynomial and the
+    labels of omega's model, as rewrite hands them on from the candidate."""
+    return build_eigenbasis(ctx, w, char_poly(w), tuple(model_spectrum(spec, ctx, omega)))
+
+
 # -- element sampling --------------------------------------------------------------
 
 
@@ -107,9 +114,10 @@ def test_recover_omega_from_planted_spectrum():
     eigs = [lam for lam, _ in spectrum_on_module(s, spec)]
     out = recover_omega(eigs, spec, CTX73)
     assert out is not None
-    rho, labeling = out
-    assert sorted(labeling) == sorted(eigs)
-    for lam, c in labeling.items():
+    rho, labels = out
+    assert labels == tuple(model_spectrum(spec, CTX73, rho))
+    assert sorted(lam for _, lam in labels) == sorted(eigs)
+    for c, lam in labels:
         assert CTX73.ext.pow(rho, phi(c, 7, 3)) == lam
 
 
@@ -216,7 +224,7 @@ def test_eigenbasis_diagonalizes():
     spec = spec_of("sym(2)")
     s = make_singer(CTX73, 4)
     w = induced_matrix(spec, s.S)
-    C, C_inv = build_eigenbasis(CTX73, w, spec, s.omega)
+    C, C_inv = eigenbasis(CTX73, w, spec, s.omega)
     assert C_inv == C.inv()
     D = C @ embed_matrix(CTX73, w) @ C_inv
     n = dim(spec)
@@ -297,6 +305,17 @@ def test_verify_accepts_planted_and_rejects_tampered():
     assert isinstance(verify_projective(spec, CTX73, publics, epubs_frame.inv(), bad), Refuted)
 
 
+def member_by_member(rule):
+    """A functor applying rule(spec, A) to each member of a stack, and to a
+    single matrix as it is: verify_projective calls induced_matrix once per
+    stack of words."""
+
+    def functor(spec_, A):
+        return stack(rule(spec_, M) for M in A.members()) if A.batch else rule(spec_, A)
+
+    return functor
+
+
 def test_verify_word_check_catches_a_non_multiplicative_functor(monkeypatch):
     """The generator checks alone imply every word check only for a
     multiplicative functor; a functor right on the generators and wrong on
@@ -317,7 +336,7 @@ def test_verify_word_check_catches_a_non_multiplicative_functor(monkeypatch):
         return Matrix.from_rows(out.field, rows)
 
     assert isinstance(verify_projective(spec, CTX73, publics, frame, pre), Verified)
-    monkeypatch.setattr(rw, "induced_matrix", broken)
+    monkeypatch.setattr(rw, "induced_matrix", member_by_member(broken))
     v = verify_projective(spec, CTX73, publics, frame, pre)
     assert isinstance(v, Refuted) and v.detail == "word check 0 failed"
 
@@ -332,14 +351,14 @@ def _reference_verify(spec, ctx, publics, C, preimages, rng, induced):
     models = [C @ embed_matrix(ctx, g) @ cinv for g in publics]
     mus = []
     for i, (M, A) in enumerate(zip(models, preimages)):
-        mu = proportional(induced(spec, A), M)
+        (mu,) = proportional(induced(spec, A), M)
         if mu is None:
             return Refuted(f"generator {i} image is not proportional to its model")
         mus.append(mu)
     for t, w in enumerate(_draw_words(rng, len(publics), VERIFICATION_WORDS)):
         AW = reduce(lambda m, i: m @ preimages[i], w, Matrix.identity(ctx.ext, ctx.d))
         MW = reduce(lambda m, i: m @ models[i], w, Matrix.identity(ctx.ext, dim(spec)))
-        if proportional(induced(spec, AW), MW) is None:
+        if proportional(induced(spec, AW), MW) == [None]:
             return Refuted(f"word check {t} failed")
     return Verified(tuple(mus))
 
@@ -375,7 +394,7 @@ def test_verify_word_check_matches_the_explicit_model_words(monkeypatch, p, f, d
         return out
 
     details = set()
-    for functor in (induced_matrix, word_only_broken):
+    for functor in (induced_matrix, member_by_member(word_only_broken)):
         monkeypatch.setattr(rw, "induced_matrix", functor)
         for k, (gens, C, A) in enumerate(cases):
             got = verify_projective(spec, ctx, gens, C, A, rng=random.Random(k))
@@ -669,7 +688,7 @@ def test_orbit_eigenrows_equal_per_eigenvalue_kernels(p, f, d, text, monkeypatch
     rw = importlib.import_module("singerlab.rewrite")
     calls = []
     monkeypatch.setattr(rw, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
-    C0, C0_inv = build_eigenbasis(ctx, w, spec, s.omega)
+    C0, C0_inv = eigenbasis(ctx, w, spec, s.omega)
     assert C0.tolist() == want
     assert calls == [] and C0_inv == C0.inv()
 
@@ -705,7 +724,7 @@ def test_projector_frame_equals_kernel_rows_and_inverse(p, f, d, text, monkeypat
         raise AssertionError(f"elimination over {M.field!r}")
 
     monkeypatch.setattr(Matrix, "rref", no_elimination)
-    C0, C0_inv = build_eigenbasis(ctx, w, spec, s.omega)
+    C0, C0_inv = eigenbasis(ctx, w, spec, s.omega)
     monkeypatch.undo()
     assert C0.tolist() == want
     assert C0_inv == C0.inv()
@@ -723,12 +742,12 @@ def test_a_wrong_omega_ends_the_attempt():
     labels = lambda omega: [lam for _, lam in model_spectrum(spec, CTX73, omega)]
     eigs = set(labels(s.omega))
     with pytest.raises(rw._Degenerate, match="repeat"):
-        build_eigenbasis(CTX73, w, spec, 1)
+        eigenbasis(CTX73, w, spec, 1)
     wrong = [x for x in range(2, 60) if len(set(labels(x))) == dim(spec) and set(labels(x)) != eigs]
     assert len(wrong) >= 10
     for omega in wrong[:10]:
         with pytest.raises(rw._Degenerate, match="not an eigenvalue"):
-            build_eigenbasis(CTX73, w, spec, omega)
+            eigenbasis(CTX73, w, spec, omega)
 
 
 @pytest.mark.parametrize(
