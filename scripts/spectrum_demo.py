@@ -1,25 +1,26 @@
 """Walk one Singer element through the spectral model.
 
 Builds a cyclically regular element of GL_d(F_q) from a seeded primitive
-element, prints the spectrum of every requested induced module next to the
-predicted exponents, and decodes each exponent into its digit vector. The
-transcript is the hand-checkable version of what the rewriting pipeline
-consumes blindly.
+element and prints the spectrum of every requested induced module, each
+eigenvalue next to the exponent phi(c) and digit pattern c that the digit
+model assigns it. The transcript is the hand-checkable version of what the
+rewriting pipeline consumes blindly.
 """
 
 import argparse
 
 from singerlab import (
     SingerlabError,
-    exponent_and_digits,
     field_ctx,
     make_singer,
     parse_module_spec,
+    phi,
     spectrum_on_module,
     verify_model_match,
     verify_simple_spectrum,
 )
 from singerlab.ffield import prime_power
+from singerlab.schur import model_spectrum
 from singerlab.singer import Match, Simple
 
 
@@ -46,14 +47,13 @@ def main() -> None:
         try:
             spec = parse_module_spec(text, q=args.q, d=args.d)
             print(f"\n{spec.text()}")
-            for lam, mult in spectrum_on_module(s, spec):
-                E, digits = exponent_and_digits(lam, s.omega, ctx)
-                print(
-                    f"  eigenvalue {lam:>6}  multiplicity {mult}"
-                    f"  = omega^{E:<6} digits {tuple(digits)}"
-                )
-            match = verify_model_match(s, spec)
-            simple = verify_simple_spectrum(s, spec)
+            roots = spectrum_on_module(s, spec)
+            pattern = {lam: c for c, lam in model_spectrum(spec, ctx, s.omega)}
+            for lam, mult in roots:
+                c = pattern[lam]
+                print(f"  eigenvalue {lam:>6}  multiplicity {mult}  = omega^{phi(c, ctx.q, ctx.d):<6} digits {tuple(c)}")
+            match = verify_model_match(s, spec, roots)
+            simple = verify_simple_spectrum(roots)
         except SingerlabError as exc:  # e.g. sym(k) with k >= the characteristic
             print(f"  skipped: {exc}")
             continue

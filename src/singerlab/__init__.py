@@ -1,7 +1,9 @@
 """Spectral labeling and rewriting for matrix groups with a cyclically regular element.
 
 The verdict dataclasses (Match, Simple, Ok, Verified, ...) stay in their
-defining modules.
+defining modules. The package exports the function rewrite, so
+`import singerlab.rewrite as rw` binds that function, not the module; use
+importlib.import_module("singerlab.rewrite") for the module.
 """
 
 from .digitmap import (
@@ -10,7 +12,6 @@ from .digitmap import (
     check_injectivity,
     check_injectivity_sumK,
     enumerate_patterns,
-    exponent_and_digits,
     phi,
 )
 from .errors import (
@@ -58,7 +59,6 @@ __all__ = [
     "dim",
     "embed_matrix",
     "enumerate_patterns",
-    "exponent_and_digits",
     "field_ctx",
     "gen_instance",
     "induced_matrix",

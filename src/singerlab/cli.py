@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -53,7 +54,7 @@ from .rewrite import (
     rewrite,
     verify_projective,
 )
-from .schur import FactorSpec, ModuleSpec, aggregated_patterns, dim, model_spectrum, parse_module_spec
+from .schur import DIM_BUDGET, FactorSpec, ModuleSpec, aggregated_patterns, dim, model_spectrum, parse_module_spec
 from .singer import Match, Simple, make_singer, spectrum_on_module, verify_model_match, verify_simple_spectrum
 
 EXIT_OK = 0
@@ -125,10 +126,14 @@ def cmd_check_injectivity(args) -> int:
 def cmd_model_spectrum(args) -> int:
     q, d, K = args.q, args.d, args.K
     p, f = prime_power(q)
+    patterns = enumerate_patterns(d, K)  # checks d and K, enumerates nothing yet
+    count = math.comb(d + K - 1, K)  # the rows are the patterns of Sym^K V
+    if count > DIM_BUDGET:
+        raise CapacityExceeded(f"{count} patterns of total {K} exceed the module budget {DIM_BUDGET}")
     modulus = q**d - 1
     rows = []
     exponents = []
-    for c in enumerate_patterns(d, K):
+    for c in patterns:
         e = phi(c, q, d)
         exponents.append(e)
         rows.append({"pattern": list(c), "exponent": e})
@@ -180,8 +185,8 @@ def cmd_singer_demo(args) -> int:
     s = make_singer(ctx, _seed(args))
     nat_eigs = spectrum_on_module(s, ModuleSpec(ctx.d, ctx.q, (FactorSpec("nat"),)))
     sp = spectrum_on_module(s, spec)
-    match = verify_model_match(s, spec)
-    simple = verify_simple_spectrum(s, spec)
+    match = verify_model_match(s, spec, sp)
+    simple = verify_simple_spectrum(sp)
     c_star = min(aggregated_patterns(spec))
     e_star = phi(c_star, ctx.q, ctx.d)
     payload = {

@@ -3,8 +3,7 @@
 Everything in this module is plain integer arithmetic: digit vectors index
 eigenvalues as exponents of a multiplicative generator, and the central
 question is when the map from digit vectors to residues mod q^d - 1 is
-injective. No field elements appear except in the convenience bridge at
-the bottom (exponent_and_digits); the eigenvalues omega^phi(c) of the
+injective. No field elements appear; the eigenvalues omega^phi(c) of the
 digit model are listed by schur.model_spectrum.
 """
 
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityExceeded, InvalidInput
-from .ffield import FieldCtx, discrete_log
 
 
 class DigitVector(tuple):
@@ -146,9 +144,3 @@ def twisted_aggregate(parts: list[tuple[DigitVector, int]], d: int) -> DigitVect
         for i, c in enumerate(b):
             out[(i + e) % d] += c
     return DigitVector(out)
-
-
-def exponent_and_digits(lam: int, omega: int, ctx: FieldCtx) -> tuple[int, DigitVector]:
-    """Express an eigenvalue as omega^E and return E with its base-q digits."""
-    E = discrete_log(ctx.ext, lam, omega)
-    return E, base_q_expansion(E, ctx.q, ctx.d)

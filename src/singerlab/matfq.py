@@ -24,7 +24,6 @@ every result is deterministic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -33,7 +32,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import FieldMismatch, InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import DensePoly, Field, FieldCtx, digit_dtype, poly_trim, power
+from .ffield import DensePoly, Field, FieldCtx, digit_dtype, poly_trim
 
 # ---------------------------------------------------------------------------
 # the digit-tensor kernel
@@ -221,16 +220,6 @@ class Matrix:
             raise ShapeMismatch(f"{self.D.shape[1:]} @ {other.D.shape[1:]}")
         X, Y = _aligned(_widen(F, self.D, k), _widen(F, other.D, k))
         return Matrix(F, _fold(F, X[:, None] @ Y[None], k))
-
-    def pow(self, e: int) -> "Matrix":
-        n, n2 = self.shape
-        if n != n2:
-            raise ShapeMismatch("matrix power needs a square matrix")
-        if e < 0:
-            return self.inv().pow(-e)
-        # operator.matmul looks __matmul__ up at each product, so a wrapper on it sees every one
-        out = power(self, e, operator.matmul, Matrix.identity(self.field, n))
-        return out.copy() if out is self else out
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, np.swapaxes(self.D, -1, -2).copy())

@@ -36,7 +36,7 @@ import numpy as np
 
 from .digitmap import DigitVector, phi
 from .errors import InvalidInput, ShapeMismatch, SingularMatrix, UnsupportedFactor
-from .ffield import DensePoly, FieldCtx, factorint, nth_roots, poly_deriv, poly_divmod, poly_gcd, roots_in_extension
+from .ffield import DensePoly, Field, FieldCtx, _QuotientRing, factorint, nth_roots, poly_divmod, poly_mod, roots_in_extension
 from .matfq import (
     Matrix,
     char_poly,
@@ -94,7 +94,7 @@ class RewriteConfig:
 
     @property
     def max_element_trials(self) -> int:
-        return max(8, math.ceil(math.log2(1.0 / self.eps)) * 8)
+        return max(8, math.ceil(-math.log2(self.eps)) * 8)
 
 
 @dataclass
@@ -259,19 +259,15 @@ def _ppd_exponent(ctx: FieldCtx, patterns: list[DigitVector]) -> int | None:
     return None
 
 
-def _squarefree(F, poly) -> bool:
-    return len(poly_gcd(F, poly, poly_deriv(F, poly))) == 1
-
-
-def _passes_powers(m: Matrix, n1: int, ppd_e: int | None) -> bool:
-    """For m with a squarefree characteristic polynomial: every eigenvalue
-    lies in F_{q^d}^x (n1 = q^d - 1) and, given a ppd exponent, not every
-    eigenvalue lies in its index-r subgroup."""
-    one = Matrix.identity(m.field, m.shape[0])
+def _divides_torus_poly(F: Field, chi: DensePoly, n1: int, ppd_e: int | None) -> bool:
+    """chi | x^n1 - 1 and, given a ppd exponent e, chi does not divide
+    x^e - 1: both decided by powers of x in one ring F[x]/(chi)."""
+    ring = _QuotientRing(F, chi)
+    x, one = ring.lift(poly_mod(F, (0, 1), chi)), ring.lift((1,))
     if ppd_e is None:
-        return m.pow(n1) == one
-    P = m.pow(ppd_e)
-    return P != one and P.pow(n1 // ppd_e) == one
+        return np.array_equal(ring.pow(x, n1), one)
+    P = ring.pow(x, ppd_e)
+    return not np.array_equal(P, one) and np.array_equal(ring.pow(P, n1 // ppd_e), one)
 
 
 def find_singer_candidate(
@@ -289,15 +285,14 @@ def find_singer_candidate(
     element, its characteristic polynomial over F_q, omega and its labels
     (recover_omega), or None.
 
-    Rejection runs over F_q. Once the characteristic polynomial of m is
-    squarefree it is also its minimal polynomial, so m is diagonalizable
-    over the splitting field and m^E = I exactly when lam^E = 1 for every
-    eigenvalue lam. With N = q^d - 1 and r the ppd prime behind
-    _ppd_exponent: m^(N/r) = I says every eigenvalue lies in the index-r
-    subgroup of F_{q^d}^x (the ppd rejection), and m^N != I says some
-    eigenvalue is zero or lies outside F_{q^d}, so the spectrum does not
-    split into n simple nonzero roots there. Only elements that pass both
-    pay for root finding over F_{q^d}."""
+    Rejection runs over F_q, on the characteristic polynomial chi of m.
+    With N = q^d - 1 prime to p, x^N - 1 is squarefree and its roots are
+    exactly F_{q^d}^x, so chi | x^N - 1 says that the spectrum splits into
+    n simple nonzero roots there; chi is then m's minimal polynomial too.
+    With r the ppd prime behind _ppd_exponent, chi | x^(N/r) - 1 says every
+    eigenvalue lies in the index-r subgroup of F_{q^d}^x (the ppd
+    rejection). Only elements that pass both pay for root finding over
+    F_{q^d}."""
     n1 = ctx.ext.order - 1
     patterns = list(aggregated_patterns(spec))
     ppd_e = _ppd_exponent(ctx, patterns)
@@ -305,7 +300,7 @@ def find_singer_candidate(
     for m in itertools.islice(sources, budget):
         stats.elements_sampled += 1
         cp = char_poly(m)
-        if not _squarefree(m.field, cp) or not _passes_powers(m, n1, ppd_e):
+        if not _divides_torus_poly(m.field, cp, n1, ppd_e):
             continue
         eigs = [lam for lam, _ in roots_in_extension(ctx, cp)]
         got = recover_omega(eigs, spec, ctx, stats)

@@ -4,8 +4,8 @@ A SingerElement is the companion matrix of the minimal polynomial of a
 primitive element omega of F_{q^d}, together with omega itself. Its
 eigenvalues on the natural module are the Frobenius orbit omega^(q^i), and
 on a tensor module the eigenvalue at a basis label is omega raised to the
-label's aggregated digit exponent. The verifiers in this module check those
-two statements directly against exact linear algebra.
+label's aggregated digit exponent. spectrum_on_module computes a spectrum
+by exact linear algebra, once, and the two verdicts below read it.
 """
 
 from __future__ import annotations
@@ -74,11 +74,12 @@ class Mismatch:
     extra: tuple[tuple[int, int], ...]
 
 
-def verify_model_match(s: SingerElement, spec: ModuleSpec) -> Match | Mismatch:
-    """Compare the actual eigenvalue multiset against the digit model
-    {omega^phi(c)} over all aggregated label patterns."""
+def verify_model_match(s: SingerElement, spec: ModuleSpec, roots: list[tuple[int, int]]) -> Match | Mismatch:
+    """Compare the eigenvalue multiset roots, spectrum_on_module(s, spec),
+    against the digit model {omega^phi(c)} over all aggregated label
+    patterns."""
     actual: dict[int, int] = {}
-    for lam, mult in spectrum_on_module(s, spec):
+    for lam, mult in roots:
         actual[lam] = actual.get(lam, 0) + mult
     model: dict[int, int] = {}
     for _, v in model_spectrum(spec, s.ctx, s.omega):
@@ -101,15 +102,16 @@ class RepeatedEigenvalue:
     multiplicity: int
 
 
-def verify_simple_spectrum(s: SingerElement, spec: ModuleSpec) -> Simple | RepeatedEigenvalue:
-    """Simple iff every eigenvalue has algebraic multiplicity 1.
+def verify_simple_spectrum(roots: list[tuple[int, int]]) -> Simple | RepeatedEigenvalue:
+    """Simple iff every eigenvalue of roots, a spectrum_on_module spectrum,
+    has algebraic multiplicity 1.
 
     The spectrum always splits over F_{q^d} and S acts semisimply there, so
     algebraic multiplicity 1 already forces eigenspace dimension 1; no
     kernel computation is needed (the test suite spot-checks kernels on
     small modules independently).
     """
-    for lam, mult in spectrum_on_module(s, spec):
+    for lam, mult in roots:
         if mult > 1:
             return RepeatedEigenvalue(lam, mult)
     return Simple()

@@ -96,7 +96,7 @@ def test_criterion_05_spectrum_reproduction():
         for lam, _ in roots:
             shifted = m - Matrix.identity(ctx.ext, n).scale(lam)
             assert len(kernel_basis(shifted)) == 1
-        assert isinstance(verify_model_match(s, spec), Match)
+        assert isinstance(verify_model_match(s, spec, roots), Match)
     assert time.perf_counter() - start < 10.0
 
 
@@ -160,11 +160,12 @@ def test_criterion_08_model_property_grid():
                 continue
             if not isinstance(check_multiplicity_free(spec), MultiplicityFree):
                 continue
-            assert isinstance(verify_model_match(s, spec), Match), spec.text()
-            assert isinstance(verify_simple_spectrum(s, spec), Simple), spec.text()
+            roots = spectrum_on_module(s, spec)
+            assert isinstance(verify_model_match(s, spec, roots), Match), spec.text()
+            assert isinstance(verify_simple_spectrum(roots), Simple), spec.text()
             checked += 1
         square = ModuleSpec(d, ctx.q, (FactorSpec("nat"), FactorSpec("nat")))
-        assert isinstance(verify_simple_spectrum(s, square), RepeatedEigenvalue)
+        assert isinstance(verify_simple_spectrum(spectrum_on_module(s, square)), RepeatedEigenvalue)
     assert checked >= 50
     assert time.perf_counter() - start < 300.0
 

@@ -157,6 +157,20 @@ def test_demo_transcript(capsys):
     assert "exponent 147 has base-7 digits (0, 0, 3)" in out
 
 
+def test_demo_computes_each_spectrum_once(capsys, monkeypatch):
+    """One root finding for the natural module and one for the requested
+    module, which both verdicts read; they used to compute it twice more."""
+    real, calls = singerlab.singer.roots_in_extension, []
+
+    def counted(ctx, g):
+        calls.append(g)
+        return real(ctx, g)
+
+    monkeypatch.setattr(singerlab.singer, "roots_in_extension", counted)
+    assert main(["singer-demo", "--q", "7", "--d", "3", "--spec", "sym(2)"]) == 0
+    assert len(calls) == 2
+
+
 def test_demo_of_a_zero_dimensional_module_exits_one(capsys):
     """ext(5) vanishes at d = 3; the demo used to stop in min() of no patterns."""
     assert main(["singer-demo", "--q", "7", "--d", "3", "--spec", "ext(5)"]) == 1
@@ -184,6 +198,13 @@ def test_full_round_trip(instance_path, tmp_path, capsys):
     data = json.loads(open(result).read())
     assert set(data) == {"spec", "p", "f", "d", "omega", "phi", "C", "labels", "scalars", "stats"}
     assert "wall_time" not in data["stats"]
+
+
+def test_rewrite_with_a_subnormal_eps_exits_without_a_traceback(instance_path):
+    """--eps 5e-324 ended in an OverflowError traceback: the trial budget
+    took log2(1 / eps), and 1 / eps is inf."""
+    proc = _run_python(["-m", "singerlab.cli", "rewrite", "--in", instance_path, "--eps", "5e-324"], timeout=30)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
 
 
 def test_rewrite_default_result_path(instance_path, tmp_path, capsys):
@@ -408,6 +429,13 @@ def test_model_spectrum_refuses_a_product_of_large_primes_at_once():
     q = str((2**61 - 1) * (2**89 - 1))
     proc = _run_python(["-m", "singerlab.cli", "model-spectrum", "--q", q, "--d", "2", "--K", "1"], timeout=5)
     assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "not a prime power" in proc.stderr
+
+
+def test_model_spectrum_refuses_more_patterns_than_the_module_budget():
+    """Its rows are the C(109, 100), about 4e12, patterns of Sym^100 V at
+    d = 10; they were enumerated with no bound."""
+    proc = _run_python(["-m", "singerlab.cli", "model-spectrum", "--q", "7", "--d", "10", "--K", "100"], timeout=5)
+    assert proc.returncode == 3 and proc.stderr.startswith("budget exceeded: ")
 
 
 @pytest.mark.parametrize("command", ["gen-instance", "singer-demo"])

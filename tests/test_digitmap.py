@@ -18,7 +18,6 @@ from singerlab.digitmap import (
     check_injectivity,
     check_injectivity_sumK,
     enumerate_patterns,
-    exponent_and_digits,
     phi,
     twisted_aggregate,
 )
@@ -147,5 +146,3 @@ def test_model_eigenvalues_match_powers():
     assert [c for c, _ in model] == list(aggregated_patterns(spec))
     for c, lam in model:
         assert lam == ctx.ext.pow(w, phi(c, 7, 3))
-        E, digits = exponent_and_digits(lam, w, ctx)
-        assert digits == base_q_expansion(E, 7, 3)

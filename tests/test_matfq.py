@@ -80,14 +80,6 @@ def test_singular_inverse_raises():
         A.inv()
 
 
-def test_pow_matches_repeated_product():
-    A = rand_matrix(F5, 3, 7)
-    P = Matrix.identity(F5, 3)
-    for k in range(6):
-        assert A.pow(k) == P
-        P = P @ A
-
-
 @given(st.integers(0, 10**6))
 def test_det_is_multiplicative(seed):
     A = rand_matrix(F5, 3, seed)

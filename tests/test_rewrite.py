@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import operator
 import random
 from functools import reduce
 
@@ -148,7 +149,7 @@ SEARCH_CASES = [  # (p, f, d, spec, planted): F_4 (p = 2), F_9, F_7, F_17 with a
 
 
 def _old_verdict(ctx, m, ppd_e):
-    """The rule the matrix-power test replaced, on full root finding over
+    """The candidate filter's rule, decided by full root finding over
     F_{q^d}: n simple nonzero roots (recover_omega refuses a zero one), not
     all of them in the ppd subgroup."""
     roots = [
@@ -165,9 +166,10 @@ def _old_verdict(ctx, m, ppd_e):
 
 @pytest.mark.parametrize("p,f,d,text,plant", SEARCH_CASES)
 def test_power_rejection_matches_root_finding(p, f, d, text, plant):
-    """Past the squarefree check, the verdict decided by matrix powers over
-    F_q equals the one read off the roots over F_{q^d}, on random invertible
-    matrices and on product-replacement samples."""
+    """The verdict decided by powers of x modulo chi over F_q equals the one
+    read off the roots over F_{q^d} on every draw: random invertible
+    matrices, product-replacement samples, and the identity and a nonzero
+    scalar, which satisfy m^N = I while chi = (x - c)^n is not squarefree."""
     rw = importlib.import_module("singerlab.rewrite")
     ctx = field_ctx(p, f, d)
     spec = spec_of(text, q=p**f, d=d)
@@ -179,12 +181,15 @@ def test_power_rejection_matches_root_finding(p, f, d, text, plant):
     sampler = ElementSampler(gens, rng)
     draws = gens + [random_invertible(ctx.base, dim(spec), rng) for _ in range(12)]
     draws += [sampler.draw() for _ in range(24)]
-    verdicts = []
+    one = Matrix.identity(ctx.base, dim(spec))
+    draws += [one, one.scale(ctx.base.order - 1)]
+    verdicts, repeated = [], 0
     for m in draws:
-        if rw._squarefree(ctx.base, char_poly(m)):
-            verdicts.append(rw._passes_powers(m, n1, ppd_e))
-            assert verdicts[-1] == _old_verdict(ctx, m, ppd_e)
-    assert True in verdicts and False in verdicts
+        chi = char_poly(m)
+        verdicts.append(rw._divides_torus_poly(ctx.base, chi, n1, ppd_e))
+        assert verdicts[-1] == _old_verdict(ctx, m, ppd_e)
+        repeated += any(mult > 1 for _, mult in factor_poly(ctx.base, chi))
+    assert True in verdicts and False in verdicts and repeated > 0
 
 
 def test_root_finding_runs_only_on_accepted_candidates(monkeypatch):
@@ -526,7 +531,8 @@ def test_round_trip_inside_the_torus(text, p, f, d, digest):
     s = make_singer(ctx, 6)
     rng = random.Random(17)
     T = random_invertible(ctx.base, dim(spec), rng)
-    publics = [T @ induced_matrix(spec, s.S.pow(a)) @ T.inv() for a in (1, 5)]
+    S5 = ffield.power(s.S, 5, operator.matmul, Matrix.identity(ctx.base, d))
+    publics = [T @ induced_matrix(spec, S) @ T.inv() for S in (s.S, S5)]
     res = rewrite(spec, publics, ctx, RewriteConfig(rng_seed=3))
     assert_result_is_sound(res, spec, ctx, publics)
     blob = json.dumps(result_to_dict(res, p, f), sort_keys=True, indent=2) + "\n"
@@ -661,6 +667,9 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         RewriteConfig(eps=1.5)
     assert RewriteConfig(eps=0.5).max_element_trials >= 8
+    assert RewriteConfig(eps=0.01).max_element_trials == 56
+    # log2(1 / eps) overflowed here: 1 / eps is inf for a subnormal eps
+    assert RewriteConfig(eps=5e-324).max_element_trials == 8592
 
 
 @pytest.mark.parametrize(

@@ -97,17 +97,19 @@ def test_eigenspaces_are_lines():
 def test_model_match_on_supported_modules():
     s = make_singer(CTX, 1)
     for text in ("nat", "sym(2)", "sym(3)", "ext(2)", "sym(2)@1", "ext(2)@2"):
-        assert isinstance(verify_model_match(s, spec_of(text)), Match)
-        assert isinstance(verify_simple_spectrum(s, spec_of(text)), Simple)
+        roots = spectrum_on_module(s, spec_of(text))
+        assert isinstance(verify_model_match(s, spec_of(text), roots), Match)
+        assert isinstance(verify_simple_spectrum(roots), Simple)
 
 
 def test_tensor_square_has_repeated_eigenvalue():
     s = make_singer(CTX, 1)
-    v = verify_simple_spectrum(s, spec_of("nat,nat"))
+    roots = spectrum_on_module(s, spec_of("nat,nat"))
+    v = verify_simple_spectrum(roots)
     assert isinstance(v, RepeatedEigenvalue)
     assert v.multiplicity == 2
     # the model still predicts the multiset correctly
-    assert isinstance(verify_model_match(s, spec_of("nat,nat")), Match)
+    assert isinstance(verify_model_match(s, spec_of("nat,nat"), roots), Match)
 
 
 def test_wrong_tower_rejected():

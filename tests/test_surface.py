@@ -15,7 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "singerlab"
 
 # Kept without a caller in the program, with the reason.
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    "discrete_log": "perfbench's tracer and runner wrap ffield.discrete_log by name (ROADMAP item 9)",
+}
 
 
 def _trees(*dirs):
