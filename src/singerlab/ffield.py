@@ -205,6 +205,7 @@ class Field:
             self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
         else:
             self.modulus = find_irreducible(p, m)
+        self._hash = hash((p, m, self.modulus))  # every lru_cache keyed by a field hashes it
         # low-first base-p digit weights, reused by encode/decode
         self._weights = tuple(p**i for i in range(m))
         # x^k mod modulus for k < 3m - 2, as digit tuples: the one reduction table
@@ -213,14 +214,17 @@ class Field:
             top = xpow[-1][-1]
             xpow.append(tuple((c - top * g) % p for c, g in zip((0,) + xpow[-1][:-1], self.modulus)))
         # read-only arrays for the matrix kernel and the quotient ring: the weights
-        # (Python ints once a code can reach 2^63), the (3m-2, m) digits of x^k,
-        # and the (m, m^2) reduction matrix whose column i*m + j is x^(i+j)
+        # (Python ints once a code can reach 2^63) and the (3m-2, m) digits of x^k,
+        # from which matfq builds each product plan's reduction
         self.weights = np.array(self._weights, dtype=np.int64 if self.order <= 2**63 else object)
         self.powers = np.array(xpow, dtype=np.int64)
-        self.reduction = self.powers[np.add.outer(np.arange(m), np.arange(m)).ravel()].T
-        self.weights.flags.writeable = self.powers.flags.writeable = self.reduction.flags.writeable = False
-        self.dtype = digit_dtype(p, m * m)  # matfq's digit storage: a fold sums m^2 digit products
-        # matfq's fold: the most summed digit products whose (m, m^2) reduction stays below 2^63
+        self.weights.flags.writeable = self.powers.flags.writeable = False
+        # matfq's digit storage: int64 unless the (m, m^2) fold of an unpacked product,
+        # its slots reduced mod p, could reach 2^63; a packed product (small p only)
+        # folds slots whose sum stays far below that
+        self.dtype = digit_dtype(p, m * m)
+        # the most summed digit products an unpacked (m, m^2) fold takes with no
+        # reduction of its slots mod p first
         self.fold_terms = (2**63 - 1) // (m * m * (p - 1) ** 3)
         # packed layout (see _unpack): a slot never exceeds m(p-1)^2 * (1 + (m-1)(p-1)),
         # m digit products plus m-1 folded high slots times digits of x^k mod modulus
@@ -258,7 +262,7 @@ class Field:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.m == 1:

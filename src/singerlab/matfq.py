@@ -9,15 +9,19 @@ symmetric and exterior powers, Frobenius and the tower embedding act on
 every member at once, and a single matrix broadcasts against a stack.
 Elimination, inverses and the characteristic polynomial take one matrix.
 
-Sums are digitwise mod p, and a product is the batch of m^2 F_p products
-of digit planes, folded back to m digits by Field.reduction, whose column
-i*m + j holds x^(i+j) mod the field's modulus. A fold reduces its digit
-products mod p before that (m, m^2) reduction only when m^2 * terms *
-(p-1)^3 could reach 2^63, terms being the digit products each entry sums
-(Field.fold_terms is the largest count that needs no pre-pass). Frobenius
-and the tower embedding are F_p-linear maps on the digit axis. Prime
-fields are m = 1. When a sum of products could reach 2^63 it runs on
-Python-int object arrays. Elimination does one vectorized rank-1 update per
+Sums are digitwise mod p, and every product (matrix, entrywise, and the
+sums of products inside the functors and the Hessenberg reduction) runs
+through one kernel, planned per (field, inner sum length): each int64
+packs b digits S bits apart (Kronecker substitution), so a product is
+ceil(m/b)^2 int64 products whose 2b-1 slots are unpacked by shifts and
+masks and folded back to m digits by one reduction whose columns are x^k
+mod the field's modulus. S is wide enough that no slot carries, and the
+slots are reduced mod p before the fold only when the fold could reach
+2^63. b = 1, m^2 products of digit planes and an (m, m^2) fold, is kept
+for fields of one or two digits, where packing does not pay, and for
+products whose sums could reach 2^63 even unpacked, which run on
+Python-int object arrays. Frobenius and the tower embedding are F_p-linear
+maps on the digit axis. Elimination does one vectorized rank-1 update per
 pivot, and pivots are always the first nonzero entry in scan order, so
 every result is deterministic.
 """
@@ -45,11 +49,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _widen(F: Field, D: np.ndarray, inner: int) -> np.ndarray:
-    """D in the dtype a sum of `inner` (or m^2) digit products needs."""
-    return D.astype(digit_dtype(F.p, max(inner, F.m * F.m)), copy=False)
-
-
 def _split(F: Field, a) -> np.ndarray:
     """Codes to digits, the digit axis first."""
     a = np.asarray(a, dtype=F.weights.dtype)
@@ -62,19 +61,6 @@ def _join(F: Field, D: np.ndarray) -> np.ndarray:
     return (F.weights @ D.reshape(F.m, -1)).reshape(D.shape[1:]).astype(F.weights.dtype, copy=False)
 
 
-def _fold(F: Field, P: np.ndarray, terms: int) -> np.ndarray:
-    """Digit-plane products P[i, j] = X_i * Y_j, shape (m, m, ...), each entry
-    a sum of `terms` products of two digits, to digits. Such an entry is below
-    terms * (p-1)^2, so the reduction's m^2 products by digits below p stay
-    under 2^63 without reducing P mod p first while terms <= F.fold_terms."""
-    if F.m == 1:  # the reduction matrix is [[1]]: skip its matmul over the whole array
-        return (P[0] % F.p).astype(F.dtype, copy=False)
-    if terms > F.fold_terms:
-        P = P % F.p
-    flat = P.reshape(F.m * F.m, -1)
-    return (F.reduction @ flat % F.p).reshape(P.shape[1:]).astype(F.dtype, copy=False)
-
-
 def _aligned(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X and Y, the one with fewer axes given unit batch axes after its digit
     axis: a single matrix or factor then broadcasts over a stack's members."""
@@ -84,10 +70,73 @@ def _aligned(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(D.reshape(D.shape[:1] + (1,) * (nd - D.ndim) + D.shape[1:]) for D in (X, Y))
 
 
+class _Plan:
+    """The kernel's layout over F_{p^m} for results that each sum `inner`
+    products: block u of an operand holds digits u b .. u b + b - 1 at bits
+    t S (zero past m), the product of blocks u and v holds the coefficient
+    of x^((u+v) b + s) in its slot s, and the reduction's column (s, u, v)
+    is x^((u+v) b + s) mod the modulus. b is the largest with (2b-1) S <= 63,
+    S being the bit length of a slot's bound inner * b * (p-1)^2, then
+    lowered to the least padding for the same block count; b = 1 at m <= 2
+    and on Python-int digits."""
+
+    def __init__(self, F: Field, inner: int):
+        p, m = self.p, self.m = F.p, F.m
+        self.out = F.dtype  # the result's digit storage
+        self.dtype = digit_dtype(p, max(inner, m * m))
+        slot = lambda b: inner * b * (p - 1) ** 2  # a slot's bound: b digit pairs per inner term
+        b = 1
+        if m > 2 and self.dtype is np.int64:
+            while b < m and (2 * b + 1) * slot(b + 1).bit_length() <= 63:
+                b += 1
+            b = -(-m // -(-m // b))  # the same block count with the least padding
+        blocks, S = -(-m // b), slot(b).bit_length()
+        self.b, self.S, self.blocks = b, S, blocks
+        self.shifts = np.arange(0, (2 * b - 1) * S, S, dtype=np.int64).reshape(-1, 1, 1)
+        self.mask = (1 << S) - 1
+        weights = np.zeros((blocks, m), dtype=np.int64)
+        for i in range(m):
+            weights[i // b, i] = 1 << (i % b * S)
+        s, u, v = np.meshgrid(range(2 * b - 1), range(blocks), range(blocks), indexing="ij")
+        self.weights, self.reduction = _frozen(weights, F.powers[((u + v) * b + s).ravel()].T)
+        # reduce the slots mod p first only when the reduction's sum could reach 2^63
+        self.reduce_first = self.reduction.shape[1] * slot(b) * (p - 1) >= 2**63
+
+    def __call__(self, X: np.ndarray, Y: np.ndarray, op) -> np.ndarray:
+        """The digits of op(x, y), see _product."""
+        if self.b > 1:  # digits (m, ...) to blocks (ceil(m/b), ...)
+            X, Y = ((self.weights @ D.reshape(self.m, -1)).reshape((self.blocks,) + D.shape[1:]) for D in (X, Y))
+        elif self.dtype is not self.out:
+            X, Y = X.astype(self.dtype), Y.astype(self.dtype)
+        X, Y = _aligned(X, Y)
+        P = op(X[:, None], Y[None])
+        if self.m == 1:  # the reduction is [[1]]: skip its matmul over the whole array
+            return (P[0] % self.p).astype(self.out, copy=False)
+        shape, P = (self.m,) + P.shape[2:], P.reshape(self.blocks**2, -1)
+        if self.b > 1:
+            P = P >> self.shifts  # slot s of every block product along a new first axis
+            P &= self.mask
+            P = P.reshape(self.reduction.shape[1], -1)
+        if self.reduce_first:
+            P = P % self.p
+        return (self.reduction @ P % self.p).reshape(shape).astype(self.out, copy=False)
+
+
+_plan = lru_cache(maxsize=None)(_Plan)  # one plan per (field, inner)
+
+
+def _product(F: Field, X: np.ndarray, Y: np.ndarray, inner: int, op=np.matmul) -> np.ndarray:
+    """The digits of op(x, y) for digit tensors X and Y that broadcast after
+    the digit axis, op being a product that sums at most `inner` products of
+    two entries per result entry: np.matmul with inner the shared dimension,
+    np.multiply with inner 1. One op on the packed blocks of every pair,
+    then its slots are unpacked and folded back to digits."""
+    return _plan(F, inner)(X, Y, op)
+
+
 def _mul(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Entrywise product of digit tensors that broadcast after the digit axis."""
-    X, Y = _aligned(X, Y)
-    return _fold(F, X[:, None] * Y[None], 1)
+    return _product(F, X, Y, 1, np.multiply)
 
 
 def _first_nonzero(col: np.ndarray) -> int | None:
@@ -218,8 +267,7 @@ class Matrix:
         F, k = self.field, self.shape[1]
         if k != other.shape[0] or (self.batch and other.batch and self.batch != other.batch):
             raise ShapeMismatch(f"{self.D.shape[1:]} @ {other.D.shape[1:]}")
-        X, Y = _aligned(_widen(F, self.D, k), _widen(F, other.D, k))
-        return Matrix(F, _fold(F, X[:, None] @ Y[None], k))
+        return Matrix(F, _product(F, self.D, other.D, k))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, np.swapaxes(self.D, -1, -2).copy())
@@ -356,13 +404,13 @@ def compound_matrix(A: Matrix, k: int) -> Matrix:
     pair at once."""
     F = A.field
     r, c = A.shape
-    X, M = _widen(F, A.D, k), A.D.copy()  # M: the minors of the current size, 1 x 1 first
+    M = A.D.copy()  # the minors of the current size, 1 x 1 first
     for s in range(2, k + 1):
         first, rest, at, drop = _compound_plan(r, c, s)
         # term j: A[R[0], C[j]] * (-1)^j * minor(R[1:], C without C[j])
-        head, tail = X[..., first, at], M[..., rest, drop]
+        head, tail = A.D[..., first, at], M[..., rest, drop]
         tail[..., 1::2] = -tail[..., 1::2] % F.p
-        M = _fold(F, (head[:, None] * tail[None]).sum(-1), s)
+        M = _product(F, head, tail, s, lambda x, y: (x * y).sum(-1))
     return Matrix(F, M)
 
 
@@ -405,13 +453,13 @@ def symmetric_power(A: Matrix, k: int) -> Matrix:
     if k >= F.p:
         raise UnsupportedFactor(f"sym({k}) needs k < characteristic {F.p}")
     r, c = A.shape
-    X, Q = _widen(F, A.D, r), A.D
+    Q = A.D
     for s in range(2, k + 1):
         drop, last, rest = _sym_plan(r, c, s)
         Qz = np.concatenate([Q, 0 * Q[..., :1, :]], axis=-2)
-        L = np.swapaxes(X[..., last], -1, -2)[..., None, :]  # (m, ..., M, 1, i)
+        L = np.swapaxes(A.D[..., last], -1, -2)[..., None, :]  # (m, ..., M, 1, i)
         G = np.moveaxis(Qz[..., drop, rest], -1, -3)  # (m, ..., M, i, N)
-        Q = _fold(F, np.swapaxes((L[:, None] @ G[None])[..., 0, :], -1, -2), r)
+        Q = np.swapaxes(_product(F, L, G, r)[..., 0, :], -1, -2)
     return Matrix(F, Q * _sym_ratio(r, c, k, F.p).astype(Q.dtype, copy=False) % F.p)
 
 
@@ -419,14 +467,19 @@ def word_products(gens: Matrix, words) -> Matrix:
     """The stack of every word's product, a word being a sequence of indices
     into the stack gens, taken left to right. All words advance one letter
     at a time on one digit stack; the empty word gives the identity."""
-    (pad,), F, n = gens.batch, gens.field, gens.shape[0]
+    F, (n, c) = gens.field, gens.shape
+    if len(gens.batch) != 1 or n != c:
+        raise ShapeMismatch(f"word products need a stack of square matrices, not a {gens.D.shape[1:]} array")
+    (pad,) = gens.batch
+    if any(not 0 <= i < pad for w in words for i in w):
+        raise InvalidInput(f"a word has a letter outside the {pad} generators")
     G = np.concatenate([gens.D, Matrix.identity(F, n).D[:, None]], axis=1)
     width = max([1, *map(len, words)])
     W = np.array([[*w] + [pad] * (width - len(w)) for w in words], dtype=np.intp).reshape(-1, width)
-    P, G = G[:, W[:, 0]], _widen(F, G, n)
+    P = G[:, W[:, 0]]
     for j in range(1, width):
         on = W[:, j] != pad
-        P[:, on] = _fold(F, P[:, None, on] @ G[None, :, W[on, j]], n)
+        P[:, on] = _product(F, P[:, on], G[:, W[on, j]], n)
     return Matrix(F, P)
 
 
@@ -477,7 +530,7 @@ def _hessenberg(A: Matrix) -> Matrix:
         t = _mul(F, D[:, :, j], _inverse(F, D[:, j + 1, j])[:, None])
         t[:, : j + 2] = 0
         D = (D - _mul(F, t[:, :, None], D[:, None, j + 1])) % F.p
-        D[:, :, j + 1] = (D[:, :, j + 1] + _fold(F, _widen(F, D, n)[:, None] @ t[None, :, :, None], n)[..., 0]) % F.p
+        D[:, :, j + 1] = (D[:, :, j + 1] + _product(F, D, t[:, :, None], n)[..., 0]) % F.p
     return Matrix(F, D)
 
 

@@ -14,6 +14,8 @@ from singerlab.errors import InvalidInput, ShapeMismatch, SingularMatrix
 from singerlab.ffield import Field, field_ctx, roots_in_extension
 from singerlab.matfq import (
     Matrix,
+    _plan,
+    _product,
     intertwining_scalars,
     char_poly,
     companion_matrix,
@@ -443,6 +445,18 @@ def test_word_products_match_sequential_chains(F):
     assert word_products(stack(gens), []).members() == []
 
 
+def test_word_products_refuse_letters_outside_the_stack_and_an_unstacked_matrix():
+    """A letter past the last generator or below 0 would read the identity
+    pad (or wrap around), and a single matrix has no generator axis: each is
+    refused with a typed error, not a wrong product."""
+    gens = [rand_matrix(F7, 3, seed) for seed in range(2)]
+    for bad in ([[0, 2]], [[-1]]):
+        with pytest.raises(InvalidInput):
+            word_products(stack(gens), bad)
+    with pytest.raises(ShapeMismatch):
+        word_products(gens[0], [[0]])
+
+
 # -- stacks: each member equals the single-matrix call ---------------------------
 
 # (base, extension): prime F_7 and tabled F_49, tabled F_9 and F_81, prime F_17
@@ -537,3 +551,77 @@ def test_products_fold_exactly_on_both_sides_of_the_pre_pass_bound(F, n, pre_pas
     assert kron(Matrix.from_rows(F, A), Matrix.from_rows(F, B)).tolist() == [
         [F.mul(A[i][j], B[k][l]) for j in range(3) for l in range(2)] for i in range(3) for k in range(2)
     ]
+
+
+# -- the packed product kernel against schoolbook products ----------------------
+
+# Every regime of the kernel's plan: b > 1 with no padding (F_{3^8},
+# F_{17^4}), b > 1 with ceil(m/b) b > m at some inner sizes (F_{3^5},
+# F_{2^64}), b = 1 (F_9 and F_17 by their digit count, F_{(2^19-1)^4} by the
+# size of p) and Python-int digits (F_{(2^61-1)^3}).
+KERNEL_FIELDS = [Field(3, 8), F17_4, Field(3, 5), Field(2, 64), Field(3, 2), Field(17), Field(524287, 4), Field(P61, 3)]
+KERNEL_IDS = ["F3^8", "F17^4", "F3^5", "F2^64", "F9", "F17", "F(2^19-1)^4", "F(2^61-1)^3"]
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_product_plan_bounds_hold_for_every_inner_size(F):
+    """For inner sizes 1..36: b digits S bits apart fill at most 63 bits as
+    2b - 1 slots, a slot's bound inner * b * (p-1)^2 fits in S bits, and the
+    reduction's ceil(m/b)^2 (2b-1) slot terms times digits below p (each
+    slot reduced mod p first when the plan says so) stay below 2^63. Digits
+    past 2^63 keep b = 1 on Python ints, and so do fields of one or two
+    digits."""
+    p, m = F.p, F.m
+    for inner in range(1, 37):
+        plan = _plan(F, inner)
+        blocks, b = plan.blocks, plan.b
+        assert blocks == -(-m // b) and plan.reduction.shape == (m, blocks**2 * (2 * b - 1))
+        if plan.dtype is object or m <= 2:
+            assert b == 1
+            if plan.dtype is object:
+                continue
+        assert (2 * b - 1) * plan.S <= 63 and inner * b * (p - 1) ** 2 < 2**plan.S
+        slot = p - 1 if plan.reduce_first else inner * b * (p - 1) ** 2
+        assert plan.reduction.shape[1] * slot * (p - 1) < 2**63
+
+
+def test_kernel_fields_cover_every_plan_regime():
+    """The fields above reach each regime at some inner size in 1..36."""
+    regimes = {}
+    for F, name in zip(KERNEL_FIELDS, KERNEL_IDS):
+        for inner in range(1, 37):
+            plan = _plan(F, inner)
+            kind = "object" if plan.dtype is object else "b=1" if plan.b == 1 else "padded" if plan.blocks * plan.b > F.m else "packed"
+            regimes.setdefault(kind, set()).add(name)
+    assert regimes["packed"] >= {"F3^8", "F17^4"} and regimes["padded"] >= {"F3^5", "F2^64"}
+    assert regimes["b=1"] == {"F9", "F17", "F(2^19-1)^4"} and regimes["object"] == {"F(2^61-1)^3"}
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_product_kernel_equals_schoolbook_products(F):
+    """Matrix products of inner size 1..36, entrywise products (kron and
+    scale), empty stacks and a single matrix against a stack all equal sums
+    of Field.mul, on entries whose digits are all p - 1 and on random ones."""
+    rng = random.Random(F.p + F.m)
+    top = F.order - 1  # every digit p - 1
+    entries = lambda r, c, full: [[top if full else rng.randrange(F.order) for _ in range(c)] for _ in range(r)]
+    dot = lambda row, col: reduce(F.add, (F.mul(x, y) for x, y in zip(row, col)))
+    school = lambda A, B: [[dot(r, c) for c in zip(*B)] for r in A]
+    for k in range(1, 37):
+        for full in (True, False):
+            A, B = entries(2, k, full), entries(k, 3, full and k % 2 == 0)
+            assert (Matrix.from_rows(F, A) @ Matrix.from_rows(F, B)).tolist() == school(A, B)
+    A, B = entries(3, 2, True), entries(2, 3, False)
+    assert kron(Matrix.from_rows(F, A), Matrix.from_rows(F, B)).tolist() == [
+        [F.mul(A[i][j], B[k][l]) for j in range(2) for l in range(3)] for i in range(3) for k in range(2)
+    ]
+    col = [[top], [rng.randrange(F.order)], [top]]
+    assert Matrix.from_rows(F, A).scale(col).tolist() == [[F.mul(c, x) for x in row] for [c], row in zip(col, A)]
+    mats = [entries(4, 4, i == 0) for i in range(3)]
+    X = entries(4, 4, True)
+    S, M = stack(Matrix.from_rows(F, a) for a in mats), Matrix.from_rows(F, X)
+    assert [Y.tolist() for Y in (S @ M).members()] == [school(a, X) for a in mats]
+    assert [Y.tolist() for Y in (M @ S).members()] == [school(X, a) for a in mats]
+    empty = Matrix(F, np.zeros((F.m, 0, 4, 4), dtype=F.dtype))
+    assert (empty @ M).D.shape == (M @ empty).D.shape == (F.m, 0, 4, 4)
+    assert _product(F, empty.D, M.D, 1, np.multiply).shape == (F.m, 0, 4, 4)
